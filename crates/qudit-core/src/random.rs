@@ -83,17 +83,24 @@ pub fn random_qubit_subspace_state<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> CoreResult<StateVector> {
     let mut sv = StateVector::zero_state(dim, num_qudits)?;
-    let amps = sv.amplitudes_mut();
-    for (idx, amp) in amps.iter_mut().enumerate() {
-        let digits = StateVector::decode_index(dim, num_qudits, idx);
-        *amp = if digits.iter().all(|&d| d < 2) {
-            complex_gaussian(rng)
-        } else {
-            Complex::ZERO
-        };
+    for (idx, amp) in sv.amplitudes_mut().iter_mut().enumerate() {
+        if in_qubit_subspace(dim, idx) {
+            *amp = complex_gaussian(rng);
+        }
     }
     sv.renormalize();
     Ok(sv)
+}
+
+/// Whether every base-`dim` digit of the flat basis index is 0 or 1.
+fn in_qubit_subspace(dim: usize, mut index: usize) -> bool {
+    while index > 0 {
+        if index % dim >= 2 {
+            return false;
+        }
+        index /= dim;
+    }
+    true
 }
 
 #[cfg(test)]
@@ -147,6 +154,43 @@ mod tests {
             }
         }
         assert!((sv.norm() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn qubit_subspace_draw_is_bit_identical_to_the_digit_vector_scan() {
+        // The draw order is part of every seeded trajectory result: the
+        // arithmetic digit check must consume the RNG exactly like the
+        // original per-amplitude `decode_index` scan.
+        fn digit_vector_scan(dim: usize, n: usize, rng: &mut StdRng) -> StateVector {
+            let mut sv = StateVector::zero_state(dim, n).unwrap();
+            for (idx, amp) in sv.amplitudes_mut().iter_mut().enumerate() {
+                let digits = StateVector::decode_index(dim, n, idx);
+                *amp = if digits.iter().all(|&d| d < 2) {
+                    complex_gaussian(rng)
+                } else {
+                    Complex::ZERO
+                };
+            }
+            sv.renormalize();
+            sv
+        }
+        for dim in [2usize, 3] {
+            for n in 1..=6 {
+                let seed = (dim * 100 + n) as u64;
+                let mut rng_new = StdRng::seed_from_u64(seed);
+                let mut rng_old = StdRng::seed_from_u64(seed);
+                for _ in 0..3 {
+                    let new = random_qubit_subspace_state(dim, n, &mut rng_new).unwrap();
+                    let old = digit_vector_scan(dim, n, &mut rng_old);
+                    for (a, b) in new.amplitudes().iter().zip(old.amplitudes()) {
+                        assert_eq!(a.re.to_bits(), b.re.to_bits(), "d = {dim}, n = {n}");
+                        assert_eq!(a.im.to_bits(), b.im.to_bits(), "d = {dim}, n = {n}");
+                    }
+                }
+                let next = |rng: &mut StdRng| rng.gen_range(0..u64::MAX);
+                assert_eq!(next(&mut rng_new), next(&mut rng_old), "stream position");
+            }
+        }
     }
 
     #[test]

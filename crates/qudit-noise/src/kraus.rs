@@ -167,14 +167,19 @@ impl Channel {
                         .collect(),
                 },
             },
-            Channel::Kraus { operators } => CompiledChannel {
-                kind: CompiledKind::Kraus {
-                    plans: operators
-                        .iter()
-                        .map(|k| ApplyPlan::for_matrix(dim, width, k, qudits))
-                        .collect(),
-                },
-            },
+            Channel::Kraus { operators } => {
+                let effects: Vec<CMatrix> = operators.iter().map(|k| &k.adjoint() * k).collect();
+                CompiledChannel {
+                    kind: CompiledKind::Kraus(KrausBranches {
+                        plans: operators
+                            .iter()
+                            .map(|k| ApplyPlan::for_matrix(dim, width, k, qudits))
+                            .collect(),
+                        diagonal: effects.iter().all(|e| e.is_diagonal(0.0)),
+                        effects: effects.iter().map(|e| e.as_slice().to_vec()).collect(),
+                    }),
+                }
+            }
         }
     }
 
@@ -304,13 +309,31 @@ enum CompiledKind {
         probs: Vec<f64>,
         plans: Vec<Option<ApplyPlan>>,
     },
-    /// Branch probabilities are `‖Kᵢ|ψ⟩‖²`, recomputed per application.
-    Kraus { plans: Vec<ApplyPlan> },
+    /// Branch probabilities depend on the state.
+    Kraus(KrausBranches),
+}
+
+/// The compiled branches of a general Kraus channel. Branch probabilities
+/// are `pᵢ = ‖Kᵢ|ψ⟩‖² = Tr(Eᵢ ρ)`, with the effects `Eᵢ = Kᵢ†Kᵢ`
+/// precomputed and `ρ` the targets' reduced density matrix — just its
+/// diagonal when every effect is diagonal, as for amplitude damping.
+#[derive(Clone, Debug)]
+struct KrausBranches {
+    plans: Vec<ApplyPlan>,
+    /// `Eᵢ` row-major, `block × block`.
+    effects: Vec<Vec<Complex>>,
+    diagonal: bool,
 }
 
 impl CompiledChannel {
     /// Samples one branch and applies it on the calling thread,
     /// renormalising afterwards for state-dependent (Kraus) branches.
+    ///
+    /// Kraus branches follow the quantum-jump rule: one read-only pass over
+    /// the state reduces it to the targets' populations (or reduced density
+    /// matrix), the branch probabilities `Tr(Eᵢ ρ)` come from the
+    /// precomputed effects, and only the drawn branch is applied, in place.
+    /// No state is cloned, and the amplitude-damping sites allocate nothing.
     ///
     /// Returns the index of the branch that was applied. Matches
     /// [`Channel::apply_trajectory`] draw-for-draw, so a trajectory built on
@@ -329,23 +352,70 @@ impl CompiledChannel {
                 }
                 chosen
             }
-            CompiledKind::Kraus { plans } => {
-                let mut branch_states: Vec<StateVector> = Vec::with_capacity(plans.len());
-                let mut probs: Vec<f64> = Vec::with_capacity(plans.len());
-                for plan in plans {
-                    let mut scratch = state.clone();
-                    plan.apply_sequential(&mut scratch);
-                    probs.push(scratch.norm().powi(2));
-                    branch_states.push(scratch);
-                }
-                let total: f64 = probs.iter().sum();
-                let r: f64 = rng.gen_range(0.0..total.max(f64::MIN_POSITIVE));
-                let chosen = weighted_pick(&probs, r);
-                *state = branch_states.swap_remove(chosen);
+            CompiledKind::Kraus(kraus) => {
+                let chosen = with_stack_buffer(kraus.plans.len(), |probs: &mut [f64]| {
+                    kraus.branch_probabilities(state, probs);
+                    let total: f64 = probs.iter().sum();
+                    let r: f64 = rng.gen_range(0.0..total.max(f64::MIN_POSITIVE));
+                    weighted_pick(probs, r)
+                });
+                kraus.plans[chosen].apply_sequential(state);
                 state.renormalize();
                 chosen
             }
         }
+    }
+}
+
+impl KrausBranches {
+    /// Writes the branch probabilities `pᵢ = Tr(Eᵢ ρ)` of `state` into
+    /// `probs`, from one read-only pass that reduces the state onto the
+    /// channel's targets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `probs` does not hold one entry per branch.
+    fn branch_probabilities(&self, state: &StateVector, probs: &mut [f64]) {
+        assert_eq!(
+            probs.len(),
+            self.effects.len(),
+            "one probability per branch"
+        );
+        let layout = &self.plans[0];
+        let block = layout.block();
+        let effects = &self.effects;
+        if self.diagonal {
+            with_stack_buffer(block, |pops: &mut [f64]| {
+                layout.target_populations(state.amplitudes(), pops);
+                for (p, e) in probs.iter_mut().zip(effects) {
+                    *p = (0..block).map(|a| e[a * block + a].re * pops[a]).sum();
+                }
+            });
+        } else {
+            with_stack_buffer(block * block, |rho: &mut [Complex]| {
+                layout.target_gram(state.amplitudes(), rho);
+                // Tr(E ρ) = Σ_ab E[a][b]·ρ[b][a] = Σ_ab E[a][b]·conj(ρ[a][b])
+                // for Hermitian ρ, and real for Hermitian E.
+                for (p, e) in probs.iter_mut().zip(effects) {
+                    *p = e.iter().zip(&*rho).map(|(x, y)| (*x * y.conj()).re).sum();
+                }
+            });
+        }
+    }
+}
+
+/// Reduced-state entries kept on the stack: a single qudit up to `d = 4`
+/// (Gram matrix) or a block of up to 16 levels (populations). Larger
+/// blocks fall back to a heap buffer.
+const STACK_ENTRIES: usize = 16;
+
+/// Runs `f` on a zeroed buffer of `len` entries, on the stack when it fits.
+fn with_stack_buffer<E: Copy + Default, T>(len: usize, f: impl FnOnce(&mut [E]) -> T) -> T {
+    let mut stack = [E::default(); STACK_ENTRIES];
+    if len <= STACK_ENTRIES {
+        f(&mut stack[..len])
+    } else {
+        f(&mut vec![E::default(); len])
     }
 }
 
@@ -480,26 +550,71 @@ mod tests {
         }
     }
 
+    /// The Kraus operators `Kᵢ·F` with `F` the `d`-level Fourier transform:
+    /// still a channel (`Σ F†Kᵢ†KᵢF = I`), but with non-diagonal effects,
+    /// so sampling has to go through the full reduced density matrix.
+    fn fourier_rotated(channel: &Channel) -> Channel {
+        let Channel::Kraus { operators } = channel else {
+            panic!("expected a Kraus channel");
+        };
+        let f = gates::qudit::fourier(channel.dim());
+        Channel::Kraus {
+            operators: operators.iter().map(|k| k * &f).collect(),
+        }
+    }
+
     #[test]
     fn compiled_channel_consumes_the_same_rng_stream() {
         // The compiled site must reproduce the uncompiled path draw-for-draw
-        // so precompiling cannot shift trajectory results.
-        for channel in [
-            crate::depolarizing::single_qudit_depolarizing(3, 1e-2).unwrap(),
-            crate::damping::qutrit_damping(0.2, 0.35).unwrap(),
-        ] {
-            let compiled = channel.compile(3, 2, &[1]);
-            let mut a = StateVector::from_basis_state(3, &[2, 2]).unwrap();
-            let mut b = a.clone();
-            let mut rng_a = StdRng::seed_from_u64(40);
-            let mut rng_b = StdRng::seed_from_u64(40);
-            for _ in 0..200 {
-                let ba = channel.apply_trajectory(&mut a, &[1], &mut rng_a);
-                let bb = compiled.apply_trajectory(&mut b, &mut rng_b);
-                assert_eq!(ba, bb);
-            }
-            for (x, y) in a.amplitudes().iter().zip(b.amplitudes()) {
-                assert!(x.approx_eq(*y, 1e-12));
+        // so precompiling cannot shift trajectory results: the same branch
+        // on every step, the same amplitudes, and branch probabilities
+        // equal to ‖Kᵢψ‖² computed by applying each operator.
+        let qubit = crate::damping::qubit_damping(0.3).unwrap();
+        let qutrit = crate::damping::qutrit_damping(0.2, 0.35).unwrap();
+        let cases = [
+            (
+                3,
+                crate::depolarizing::single_qudit_depolarizing(3, 1e-2).unwrap(),
+            ),
+            (2, fourier_rotated(&qubit)),
+            (3, fourier_rotated(&qutrit)),
+            (2, qubit),
+            (3, qutrit),
+        ];
+        let width = 4;
+        for (case, (dim, channel)) in cases.iter().enumerate() {
+            channel.validate().unwrap();
+            for target in [0, 2, width - 1] {
+                let compiled = channel.compile(*dim, width, &[target]);
+                let mut state_rng = StdRng::seed_from_u64(40 + case as u64);
+                let mut a = qudit_core::random_state(*dim, width, &mut state_rng).unwrap();
+                let mut b = a.clone();
+                let mut rng_a = StdRng::seed_from_u64(40);
+                let mut rng_b = StdRng::seed_from_u64(40);
+                for step in 0..200 {
+                    if let (Channel::Kraus { operators }, CompiledKind::Kraus(kraus)) =
+                        (channel, &compiled.kind)
+                    {
+                        assert_eq!(kraus.diagonal, case >= 3, "case {case}: effect shape");
+                        let mut probs = vec![0.0; operators.len()];
+                        kraus.branch_probabilities(&b, &mut probs);
+                        for (k, p) in operators.iter().zip(&probs) {
+                            let mut branch = b.clone();
+                            apply_matrix(&mut branch, k, &[target]);
+                            let expected = branch.norm().powi(2);
+                            assert!(
+                                (p - expected).abs() < 1e-12,
+                                "case {case}, target {target}, step {step}: p = {p} vs {expected}"
+                            );
+                        }
+                    }
+                    let ba = channel.apply_trajectory(&mut a, &[target], &mut rng_a);
+                    let bb = compiled.apply_trajectory(&mut b, &mut rng_b);
+                    assert_eq!(ba, bb, "case {case}, target {target}, step {step}");
+                    for (x, y) in a.amplitudes().iter().zip(b.amplitudes()) {
+                        assert!(x.approx_eq(*y, 1e-12), "case {case}, step {step}");
+                    }
+                }
             }
         }
     }

@@ -5,6 +5,20 @@
 //! application; averaging the resulting fidelities over many trials converges
 //! to the density-matrix result.
 //!
+//! ## Branch sampling
+//!
+//! A mixed-unitary channel (depolarizing, leakage, over-rotation,
+//! crosstalk) draws its branch from fixed probabilities. A general Kraus
+//! channel — the T1 amplitude damping — follows the quantum-jump rule
+//! (Dalibard, Castin & Mølmer 1992): one read-only pass reduces the state
+//! to the target qudit's populations (its reduced density matrix `ρ` when
+//! an effect is not diagonal), the branch probabilities `pᵢ = Tr(Eᵢ ρ)`
+//! come from the effects `Eᵢ = Kᵢ†Kᵢ` precomputed per site, and only the
+//! drawn branch is applied — in place, then renormalized. No state is
+//! cloned. The RNG draws and the resulting amplitudes are those of
+//! applying every branch to a copy and keeping the drawn one
+//! ([`Channel::apply_trajectory`], kept as the reference).
+//!
 //! ## Frame-based accounting
 //!
 //! Both noise backends replay a [`NoiseProgram`]: the circuit partitioned
@@ -602,9 +616,12 @@ pub(crate) fn build_noise_sites<T>(
 /// Construction compiles a `NoiseProgram` (physically lowered by
 /// default), compiles the program circuit into per-operation apply plans
 /// ([`CompiledCircuit`]) *and* precompiles every noise channel per
-/// application site (`NoiseSites`); both are shared by every trial, so a
-/// Monte Carlo run does zero plan building inside its trial loop. Trials
-/// already run one per core, so gate application inside a trial is
+/// application site (`NoiseSites`); both are shared by every trial, so the
+/// trial loop does no plan building and no per-channel allocation: Kraus
+/// sites sample from a reduced state without cloning it, and the kernels
+/// reuse per-thread scratch. Deterministic inputs (`AllOnes`, `Basis`)
+/// evolve their ideal output once per run instead of once per trial.
+/// Trials already run one per core, so gate application inside a trial is
 /// deliberately sequential — nested fan-out would oversubscribe the
 /// machine.
 pub struct TrajectorySimulator<'a> {
@@ -753,12 +770,24 @@ impl<'a> TrajectorySimulator<'a> {
         input: &InputState,
         rng: &mut R,
     ) -> Result<StateVector, CoreError> {
+        self.basis_input(input).unwrap_or_else(|| {
+            random_qubit_subspace_state(
+                self.program.circuit.dim(),
+                self.program.circuit.width(),
+                rng,
+            )
+        })
+    }
+
+    /// The initial state of a deterministic input kind, or `None` for
+    /// random inputs, which are drawn per trial.
+    fn basis_input(&self, input: &InputState) -> Option<Result<StateVector, CoreError>> {
         let d = self.program.circuit.dim();
         let n = self.program.circuit.width();
         match input {
-            InputState::RandomQubitSubspace => random_qubit_subspace_state(d, n, rng),
-            InputState::AllOnes => StateVector::from_basis_state(d, &vec![1usize; n]),
-            InputState::Basis(digits) => StateVector::from_basis_state(d, digits),
+            InputState::RandomQubitSubspace => None,
+            InputState::AllOnes => Some(StateVector::from_basis_state(d, &vec![1usize; n])),
+            InputState::Basis(digits) => Some(StateVector::from_basis_state(d, digits)),
         }
     }
 
@@ -772,7 +801,8 @@ impl<'a> TrajectorySimulator<'a> {
     pub fn run_trial(&self, input: &InputState, seed: u64) -> Result<f64, CoreError> {
         let mut rng = StdRng::seed_from_u64(seed);
         let initial = self.draw_input(input, &mut rng)?;
-        match self.trial_from(initial, &mut rng, &CancelToken::never()) {
+        let ideal = self.compiled.run_sequential(initial.clone());
+        match self.trial_from(initial, &ideal, &mut rng, &CancelToken::never()) {
             Ok(fidelity) => Ok(fidelity),
             Err(_) => unreachable!("the never token cannot cancel a trial"),
         }
@@ -795,21 +825,20 @@ impl<'a> TrajectorySimulator<'a> {
         cancel.check()?;
         let mut rng = StdRng::seed_from_u64(seed);
         let initial = self.draw_input(input, &mut rng)?;
-        self.trial_from(initial, &mut rng, cancel)
+        let ideal = self.compiled.run_sequential(initial.clone());
+        self.trial_from(initial, &ideal, &mut rng, cancel)
     }
 
-    /// The trial body shared by the cancellable and infallible entry points:
-    /// ideal + noisy evolution from a drawn initial state. Only possible
-    /// error is [`NoiseError::Cancelled`].
+    /// The trial body shared by every entry point: noisy evolution from
+    /// `initial`, scored against its precomputed `ideal` (noise-free)
+    /// output. Only possible error is [`NoiseError::Cancelled`].
     fn trial_from(
         &self,
         initial: StateVector,
+        ideal: &StateVector,
         rng: &mut StdRng,
         cancel: &CancelToken,
     ) -> NoiseResult<f64> {
-        // Ideal (noise-free) evolution, through the shared compiled plans.
-        let ideal = self.compiled.run_sequential(initial.clone());
-
         // Noisy evolution, frame by frame: unitaries, then the frame's
         // gate errors, then the idle error for the frame's duration, then
         // the crosstalk phases between the frame's busy adjacent pairs.
@@ -873,21 +902,37 @@ impl<'a> TrajectorySimulator<'a> {
 
     /// Runs the trials of one index range in parallel, in index order:
     /// trial `i` uses `seed + i`, so any range's fidelities are exactly the
-    /// corresponding slice of a full run's per-trial stream.
+    /// corresponding slice of a full run's per-trial stream. A
+    /// deterministic input's ideal output is evolved once for the range
+    /// and shared by every trial.
     fn trial_chunk(
         &self,
         config: &TrajectoryConfig,
         range: std::ops::Range<usize>,
         cancel: &CancelToken,
     ) -> NoiseResult<Vec<f64>> {
+        if range.is_empty() {
+            return Ok(Vec::new());
+        }
+        cancel.check()?;
+        // Deterministic inputs consume no randomness, so sharing one ideal
+        // evolution leaves every trial's RNG stream untouched.
+        let fixed = self.basis_input(&config.input).transpose()?.map(|initial| {
+            let ideal = self.compiled.run_sequential(initial.clone());
+            (initial, ideal)
+        });
         range
             .into_par_iter()
             .map(|i| {
-                self.run_trial_cancellable(
-                    &config.input,
-                    config.seed.wrapping_add(i as u64),
-                    cancel,
-                )
+                let seed = config.seed.wrapping_add(i as u64);
+                match &fixed {
+                    Some((initial, ideal)) => {
+                        cancel.check()?;
+                        let mut rng = StdRng::seed_from_u64(seed);
+                        self.trial_from(initial.clone(), ideal, &mut rng, cancel)
+                    }
+                    None => self.run_trial_cancellable(&config.input, seed, cancel),
+                }
             })
             .collect()
     }
@@ -1354,6 +1399,68 @@ mod tests {
         assert_eq!(merged.trials, single.trials);
         assert!((merged.mean - single.mean).abs() <= 1e-12);
         assert!((merged.std_error - single.std_error).abs() <= 1e-12);
+    }
+
+    #[test]
+    fn shared_ideal_output_is_bit_identical_to_the_per_trial_recompute() {
+        // Deterministic inputs evolve the ideal output once per chunk; every
+        // trial of the traced stream must still equal a standalone trial
+        // that evolves its own ideal output, bit for bit — in both the
+        // fixed-count and the chunked adaptive loops.
+        // Errors strong enough, on a superposed state, that almost every
+        // trial ends at a different fidelity: a shifted or reused RNG
+        // stream shows.
+        let model = NoiseModel {
+            p1: 0.02,
+            p2: 0.01,
+            t1: Some(2e-6),
+            ..noiseless_model()
+        };
+        let mut circuit = Circuit::new(3, 3);
+        for q in 0..3 {
+            circuit.push_gate(Gate::h(3), &[q]).unwrap();
+        }
+        circuit.extend(&toffoli_fig4()).unwrap();
+        let sim = TrajectorySimulator::new(&circuit, &model).unwrap();
+        let token = CancelToken::never();
+        for input in [InputState::AllOnes, InputState::Basis(vec![1, 0, 1])] {
+            let config = TrajectoryConfig {
+                trials: 40,
+                seed: 17,
+                input: input.clone(),
+                ..TrajectoryConfig::default()
+            };
+            let adaptive = Precision::TargetSigma {
+                sigma: 0.0,
+                min_trials: 7,
+                max_trials: 40,
+            };
+            for precision in [Precision::FixedTrials, adaptive] {
+                let (_, stream) = sim.run_traced(&config, &precision, &token).unwrap();
+                assert_eq!(stream.len(), 40);
+                let distinct: std::collections::HashSet<u64> =
+                    stream.iter().map(|f| f.to_bits()).collect();
+                assert!(
+                    distinct.len() > 20,
+                    "too few distinct trials to be sensitive"
+                );
+                for (i, f) in stream.iter().enumerate() {
+                    let alone = sim.run_trial(&input, 17 + i as u64).unwrap();
+                    assert_eq!(f.to_bits(), alone.to_bits(), "{input:?}, trial {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_basis_input_is_an_error_not_a_panic() {
+        let model = sc();
+        let sim = TrajectorySimulator::new(&toffoli_fig4(), &model).unwrap();
+        let config = TrajectoryConfig {
+            input: InputState::Basis(vec![1, 0, 5]),
+            ..TrajectoryConfig::default()
+        };
+        assert!(sim.run(&config).is_err());
     }
 
     #[test]

@@ -52,6 +52,7 @@ use qudit_circuit::passes::KERNEL_CLASS_TOL;
 use qudit_circuit::{KernelClass, Operation};
 use qudit_core::{CMatrix, Complex, StateVector};
 use rayon::prelude::*;
+use std::cell::RefCell;
 
 /// Historical floor on state length for parallel dispatch, kept for the
 /// density backend's elementwise sweeps (trace, fidelity, renormalise).
@@ -73,10 +74,12 @@ pub const PAR_MIN_AMPS: usize = 1 << 14;
 /// permutation/diagonal sweep (`d` moves/group) two registers later.
 pub const PAR_MIN_WORK: usize = 1 << 17;
 
-/// Minimum run length before the dense kernels switch from the monomorphic
-/// per-group path to the tiled split-lane (SIMD-capable) path: one AVX2
-/// vector holds four f64 lanes, so shorter runs cannot fill a register.
-const RUN_DENSE_MIN: usize = 4;
+/// Minimum run length before the run kernels take their SIMD-capable
+/// paths — the dense kernels' tiled split-lane multiply instead of the
+/// monomorphic per-group path, the diagonal kernel's AVX2 span scale: one
+/// AVX2 vector holds four f64 lanes, so shorter runs cannot fill a register
+/// (and pay more in call overhead than they save).
+const RUN_SIMD_MIN: usize = 4;
 
 /// Groups per tile in the dense run kernels: bounds the split-lane scratch
 /// (`2 · block · DENSE_TILE` f64) to stay L1/L2-resident even for `k = 2`
@@ -199,12 +202,9 @@ enum PlanKind {
     },
     /// The matrix is diagonal (phase-type gate / diagonal Kraus operator):
     /// each amplitude is scaled by its diagonal entry — `block` multiplies
-    /// per group instead of `block²`, and no gather/scatter scratch. Over
-    /// contiguous runs each diagonal entry scales one contiguous span.
-    Diagonal {
-        diag: Vec<Complex>,
-        split: SplitMatrix,
-    },
+    /// per group instead of `block²`, and no gather/scatter scratch. Over a
+    /// run each diagonal entry scales one span, contiguous or strided.
+    Diagonal { split: SplitMatrix },
     /// Dense single-target gate.
     DenseK1 {
         stride: usize,
@@ -373,10 +373,9 @@ impl ApplyPlan {
                 }
             }
             None => match matrix.as_diagonal(PERM_TOL) {
-                Some(diag) => {
-                    let split = SplitMatrix::of(&diag);
-                    PlanKind::Diagonal { diag, split }
-                }
+                Some(diag) => PlanKind::Diagonal {
+                    split: SplitMatrix::of(&diag),
+                },
                 None => {
                     let flat = matrix.as_slice().to_vec();
                     let split = SplitMatrix::of(&flat);
@@ -609,176 +608,161 @@ impl ApplyPlan {
     /// contain no `pow`, no division and no branching on the plan shape.
     /// Long runs dispatch to the blocked kernels (contiguous copies /
     /// span scales / tiled split-lane multiplies); short runs fall back to
-    /// the monomorphic per-group kernels.
+    /// the monomorphic per-group kernels. Scratch comes from the calling
+    /// thread's reusable buffers, so the call allocates nothing once the
+    /// thread has seen its largest block.
     pub(crate) fn run_groups(&self, amps: AmpsPtr, start: usize, end: usize, simd: SimdLevel) {
         if start >= end {
             return;
         }
+        let offsets = &self.offsets[..];
+        // SAFETY (every kernel call below): the bases come from
+        // `for_each_run` over this plan's groups `start..end`, so each
+        // `base + offset` is in bounds for a buffer of the plan's length,
+        // and groups partition the index space, so the caller's exclusive
+        // access to groups `start..end` covers every index touched. Run
+        // spans stay inside their run because every target stride exceeds
+        // the trailing free-stride chain.
         match &self.kind {
             PlanKind::Identity => {}
             PlanKind::Permutation { flat, bounds } => {
                 if self.run >= 2 && self.run_stride == 1 {
-                    let mut tmp = vec![Complex::ZERO; self.run.min(end - start).min(PERM_TILE)];
-                    self.for_each_run(start, end, |base, count| unsafe {
-                        run_permutation_blocks(amps, base, count, flat, bounds, &mut tmp);
+                    let tile = self.run.min(end - start).min(PERM_TILE);
+                    with_amp_scratch(tile, |tmp| {
+                        self.for_each_run(start, end, |base, count| unsafe {
+                            run_permutation_blocks(amps, base, count, flat, bounds, tmp);
+                        });
                     });
                 } else {
-                    let rs = self.run_stride;
-                    self.for_each_run(start, end, |base, count| unsafe {
-                        let mut b = base;
-                        for _ in 0..count {
-                            group_permutation(amps, b, flat, bounds);
-                            b += rs;
-                        }
+                    self.for_each_group(start, end, |b| unsafe {
+                        group_permutation(amps, b, flat, bounds);
                     });
                 }
             }
-            PlanKind::Diagonal { diag, split } => {
-                if self.run >= 2 && self.run_stride == 1 {
-                    self.for_each_run(start, end, |base, count| unsafe {
-                        run_diagonal_spans(amps, base, count, &self.offsets, split, simd);
-                    });
-                } else {
-                    let rs = self.run_stride;
-                    self.for_each_run(start, end, |base, count| unsafe {
-                        let mut b = base;
-                        for _ in 0..count {
-                            group_diagonal(amps, b, &self.offsets, diag);
-                            b += rs;
-                        }
-                    });
-                }
-            }
-            PlanKind::DenseK1 {
-                stride,
-                matrix,
-                split,
-            } => {
-                if self.run >= RUN_DENSE_MIN {
-                    let mut scratch = RunScratch::for_block(self.block);
+            PlanKind::Diagonal { split } => self.for_each_run(start, end, |base, count| unsafe {
+                run_diagonal_spans(amps, base, count, self.run_stride, offsets, split, simd);
+            }),
+            PlanKind::DenseK1 { split, .. }
+            | PlanKind::DenseK2 { split, .. }
+            | PlanKind::Dense { split, .. }
+                if self.run >= RUN_SIMD_MIN =>
+            {
+                with_run_scratch(self.block, |scratch| {
                     self.for_each_run(start, end, |base, count| unsafe {
                         run_dense_tiled(
                             amps,
                             base,
                             count,
                             self.run_stride,
-                            &self.offsets,
+                            offsets,
                             split,
                             simd,
-                            &mut scratch,
+                            scratch,
                         );
                     });
-                } else {
-                    let s = *stride;
-                    let rs = self.run_stride;
-                    match self.dim {
-                        2 => self.for_each_run(start, end, |base, count| unsafe {
-                            let mut b = base;
-                            for _ in 0..count {
-                                group_k1_fixed::<2>(amps, b, s, matrix);
-                                b += rs;
-                            }
-                        }),
-                        3 => self.for_each_run(start, end, |base, count| unsafe {
-                            let mut b = base;
-                            for _ in 0..count {
-                                group_k1_fixed::<3>(amps, b, s, matrix);
-                                b += rs;
-                            }
-                        }),
-                        4 => self.for_each_run(start, end, |base, count| unsafe {
-                            let mut b = base;
-                            for _ in 0..count {
-                                group_k1_fixed::<4>(amps, b, s, matrix);
-                                b += rs;
-                            }
-                        }),
-                        _ => {
-                            let mut scratch = vec![Complex::ZERO; self.block];
-                            self.for_each_run(start, end, |base, count| unsafe {
-                                let mut b = base;
-                                for _ in 0..count {
-                                    group_dense(amps, b, &self.offsets, matrix, &mut scratch);
-                                    b += rs;
-                                }
-                            });
-                        }
-                    }
+                });
+            }
+            PlanKind::DenseK1 { stride, matrix, .. } => {
+                let s = *stride;
+                match self.dim {
+                    2 => self.for_each_group(start, end, |b| unsafe {
+                        group_k1_fixed::<2>(amps, b, s, matrix);
+                    }),
+                    3 => self.for_each_group(start, end, |b| unsafe {
+                        group_k1_fixed::<3>(amps, b, s, matrix);
+                    }),
+                    4 => self.for_each_group(start, end, |b| unsafe {
+                        group_k1_fixed::<4>(amps, b, s, matrix);
+                    }),
+                    _ => self.run_group_dense(amps, start, end, matrix),
                 }
             }
-            PlanKind::DenseK2 { matrix, split } => {
-                if self.run >= RUN_DENSE_MIN {
-                    let mut scratch = RunScratch::for_block(self.block);
-                    self.for_each_run(start, end, |base, count| unsafe {
-                        run_dense_tiled(
-                            amps,
-                            base,
-                            count,
-                            self.run_stride,
-                            &self.offsets,
-                            split,
-                            simd,
-                            &mut scratch,
-                        );
-                    });
-                } else {
-                    let rs = self.run_stride;
-                    match self.dim {
-                        2 => self.for_each_run(start, end, |base, count| unsafe {
-                            let mut b = base;
-                            for _ in 0..count {
-                                group_k2_fixed::<2, 4>(amps, b, &self.offsets, matrix);
-                                b += rs;
-                            }
-                        }),
-                        3 => self.for_each_run(start, end, |base, count| unsafe {
-                            let mut b = base;
-                            for _ in 0..count {
-                                group_k2_fixed::<3, 9>(amps, b, &self.offsets, matrix);
-                                b += rs;
-                            }
-                        }),
-                        _ => {
-                            let mut scratch = vec![Complex::ZERO; self.block];
-                            self.for_each_run(start, end, |base, count| unsafe {
-                                let mut b = base;
-                                for _ in 0..count {
-                                    group_dense(amps, b, &self.offsets, matrix, &mut scratch);
-                                    b += rs;
-                                }
-                            });
-                        }
-                    }
-                }
-            }
-            PlanKind::Dense { matrix, split } => {
-                if self.run >= RUN_DENSE_MIN {
-                    let mut scratch = RunScratch::for_block(self.block);
-                    self.for_each_run(start, end, |base, count| unsafe {
-                        run_dense_tiled(
-                            amps,
-                            base,
-                            count,
-                            self.run_stride,
-                            &self.offsets,
-                            split,
-                            simd,
-                            &mut scratch,
-                        );
-                    });
-                } else {
-                    let rs = self.run_stride;
-                    let mut scratch = vec![Complex::ZERO; self.block];
-                    self.for_each_run(start, end, |base, count| unsafe {
-                        let mut b = base;
-                        for _ in 0..count {
-                            group_dense(amps, b, &self.offsets, matrix, &mut scratch);
-                            b += rs;
-                        }
-                    });
-                }
-            }
+            PlanKind::DenseK2 { matrix, .. } => match self.dim {
+                2 => self.for_each_group(start, end, |b| unsafe {
+                    group_k2_fixed::<2, 4>(amps, b, offsets, matrix);
+                }),
+                3 => self.for_each_group(start, end, |b| unsafe {
+                    group_k2_fixed::<3, 9>(amps, b, offsets, matrix);
+                }),
+                _ => self.run_group_dense(amps, start, end, matrix),
+            },
+            PlanKind::Dense { matrix, .. } => self.run_group_dense(amps, start, end, matrix),
         }
+    }
+
+    /// The generic gather–scatter kernel over the groups `start..end`.
+    fn run_group_dense(&self, amps: AmpsPtr, start: usize, end: usize, matrix: &[Complex]) {
+        with_amp_scratch(self.block, |scratch| {
+            self.for_each_group(start, end, |b| unsafe {
+                group_dense(amps, b, &self.offsets, matrix, scratch);
+            });
+        });
+    }
+
+    /// Calls `f(base)` for every group base in `start..end`, in group order.
+    #[inline(always)]
+    fn for_each_group(&self, start: usize, end: usize, mut f: impl FnMut(usize)) {
+        let rs = self.run_stride;
+        self.for_each_run(start, end, |base, count| {
+            let mut b = base;
+            for _ in 0..count {
+                f(b);
+                b += rs;
+            }
+        });
+    }
+
+    /// The populations of the plan's target block, summed over every group
+    /// the plan visits: `out[a] = Σ_g |ψ[g + offset_a]|²`. For a plan
+    /// without controls this is the diagonal of the targets' reduced
+    /// density matrix — one read-only pass over the state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `amps` does not have the plan's state length or `out`
+    /// does not hold `block` entries.
+    pub fn target_populations(&self, amps: &[Complex], out: &mut [f64]) {
+        assert_eq!(amps.len(), self.len, "amplitude buffer length mismatch");
+        assert_eq!(
+            out.len(),
+            self.block,
+            "populations need one entry per level"
+        );
+        out.fill(0.0);
+        self.for_each_run(0, self.groups, |base, count| {
+            for (pop, &off) in out.iter_mut().zip(&self.offsets) {
+                *pop += strided_norm_sqr(amps, base + off, count, self.run_stride);
+            }
+        });
+    }
+
+    /// The Gram matrix of the plan's target block, summed over every group
+    /// the plan visits: `out[a·block + b] = Σ_g ψ[g + offset_a]·conj(ψ[g +
+    /// offset_b])`, row-major. For a plan without controls this is the
+    /// targets' reduced density matrix `ρ = Tr_rest |ψ⟩⟨ψ|` — one
+    /// read-only pass over the state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `amps` does not have the plan's state length or `out`
+    /// does not hold `block²` entries.
+    pub fn target_gram(&self, amps: &[Complex], out: &mut [Complex]) {
+        assert_eq!(amps.len(), self.len, "amplitude buffer length mismatch");
+        let block = self.block;
+        assert_eq!(
+            out.len(),
+            block * block,
+            "the Gram matrix needs block² entries"
+        );
+        out.fill(Complex::ZERO);
+        self.for_each_group(0, self.groups, |g| {
+            for (row, &oa) in out.chunks_exact_mut(block).zip(&self.offsets) {
+                let x = amps[g + oa];
+                for (entry, &ob) in row.iter_mut().zip(&self.offsets) {
+                    *entry += x * amps[g + ob].conj();
+                }
+            }
+        });
     }
 
     /// Calls `f(base, count)` for maximal runs of consecutive groups in
@@ -786,8 +770,8 @@ impl ApplyPlan {
     /// `base, base+run_stride, …`. Runs are aligned to multiples of
     /// `self.run`, so a range that starts mid-run gets a partial first run.
     ///
-    /// The one-off mixed-radix decomposition of `start` is the only place
-    /// division appears; the loop body is pure adds/compares.
+    /// The one-off mixed-radix decomposition of a non-zero `start` is the
+    /// only place division appears; the loop body is pure adds/compares.
     pub(crate) fn for_each_run(&self, start: usize, end: usize, mut f: impl FnMut(usize, usize)) {
         if start >= end {
             return;
@@ -797,17 +781,25 @@ impl ApplyPlan {
         let rs = self.run_stride;
         let upper = &self.free_strides[..self.free_strides.len() - self.run_digits];
         let ucount = upper.len();
-        let mut digits = vec![0usize; ucount];
-        let block_idx = start / run;
-        let mut within = start - block_idx * run;
+        // A `d ≥ 2` register addressable by `usize` has fewer qudits than
+        // `usize` has bits, so the digits always fit on the stack.
+        let mut digit_buf = [0usize; usize::BITS as usize];
+        let digits = &mut digit_buf[..ucount];
+        let mut within = 0;
         let mut base = self.control_offset;
-        let mut rem = block_idx;
-        for i in (0..ucount).rev() {
-            digits[i] = rem % dim;
-            rem /= dim;
-            base += digits[i] * upper[i];
+        // A sweep from group 0 (every sequential application) starts with
+        // all digits zero: skip the divisions, which dominate small states.
+        if start > 0 {
+            let block_idx = start / run;
+            within = start - block_idx * run;
+            let mut rem = block_idx;
+            for i in (0..ucount).rev() {
+                digits[i] = rem % dim;
+                rem /= dim;
+                base += digits[i] * upper[i];
+            }
+            debug_assert_eq!(rem, 0, "group index out of range");
         }
-        debug_assert_eq!(rem, 0, "group index out of range");
         let mut g = start;
         loop {
             let count = (run - within).min(end - g);
@@ -831,6 +823,25 @@ impl ApplyPlan {
             }
         }
     }
+}
+
+/// `Σ_t |amps[start + t·stride]|²` for `t < count`, in four interleaved
+/// partial sums so the adds do not form one serial dependency chain.
+#[inline(always)]
+fn strided_norm_sqr(amps: &[Complex], start: usize, count: usize, stride: usize) -> f64 {
+    let mut acc = [0.0f64; 4];
+    let mut i = start;
+    for _ in 0..count / 4 {
+        for (k, lane) in acc.iter_mut().enumerate() {
+            *lane += amps[i + k * stride].norm_sqr();
+        }
+        i += 4 * stride;
+    }
+    for _ in 0..count % 4 {
+        acc[0] += amps[i].norm_sqr();
+        i += stride;
+    }
+    (acc[0] + acc[1]) + (acc[2] + acc[3])
 }
 
 /// Decomposes a local-basis permutation into its non-trivial cycles,
@@ -1010,62 +1021,66 @@ unsafe fn run_permutation_blocks(
     }
 }
 
-/// Diagonal kernel: scales each amplitude of the group by its diagonal
-/// entry. `block` complex multiplies per group — no gather, no scratch, no
-/// `block²` matrix sweep.
+/// Diagonal kernel over a run of `count` groups whose bases advance by
+/// `rs`: every amplitude is scaled by its diagonal entry — `block` complex
+/// multiplies per group, no gather, no scratch, no `block²` matrix sweep.
+/// Contiguous runs (`rs == 1`) scale one span per diagonal entry, through
+/// AVX2 when the span fills a vector; strided runs walk group by group, so
+/// each group's amplitudes are visited once while they are in cache. The
+/// AVX2 path uses mul/add only (no FMA), so every path is bit-identical to
+/// `d · a` per amplitude.
 ///
 /// # Safety
 ///
-/// `base + offsets[b]` must be in bounds and exclusively owned by the
-/// caller for `b < offsets.len()`; `diag` must hold `offsets.len()` entries.
-unsafe fn group_diagonal(amps: AmpsPtr, base: usize, offsets: &[usize], diag: &[Complex]) {
-    debug_assert_eq!(offsets.len(), diag.len());
-    for (&off, &d) in offsets.iter().zip(diag) {
-        let idx = base + off;
-        amps.set(idx, d * amps.get(idx));
-    }
-}
-
-/// Blocked diagonal kernel for a contiguous run of `count` groups: each
-/// diagonal entry scales one contiguous span of `count` amplitudes. Uses
-/// mul/add only (no FMA), so scalar and AVX2 results are bit-identical to
-/// the per-group kernel.
-///
-/// # Safety
-///
-/// `base + off + count` must be in bounds and exclusively owned for every
-/// offset; `split` must hold one entry per offset.
+/// `base + off + t·rs` must be in bounds and exclusively owned for every
+/// offset and `t < count`; `split` must hold one entry per offset.
+#[inline(always)]
 unsafe fn run_diagonal_spans(
     amps: AmpsPtr,
     base: usize,
     count: usize,
+    rs: usize,
     offsets: &[usize],
     split: &SplitMatrix,
     simd: SimdLevel,
 ) {
-    for (b, &off) in offsets.iter().enumerate() {
-        let dre = split.re[b];
-        let dim = split.im[b];
+    let scale = |i: usize, dre: f64, dim: f64| {
+        let a = amps.get(i);
+        amps.set(
+            i,
+            Complex::new(dre * a.re - dim * a.im, dre * a.im + dim * a.re),
+        );
+    };
+    if rs != 1 {
+        let mut b = base;
+        for _ in 0..count {
+            for ((&off, &dre), &dim) in offsets.iter().zip(&split.re).zip(&split.im) {
+                scale(b + off, dre, dim);
+            }
+            b += rs;
+        }
+        return;
+    }
+    for ((&off, &dre), &dim) in offsets.iter().zip(&split.re).zip(&split.im) {
         let span = base + off;
         #[cfg(target_arch = "x86_64")]
-        if simd == SimdLevel::Avx2 {
+        if simd == SimdLevel::Avx2 && count >= RUN_SIMD_MIN {
             avx2::scale_span(amps.ptr.add(span), count, dre, dim);
             continue;
         }
         #[cfg(not(target_arch = "x86_64"))]
         let _ = simd;
         for t in 0..count {
-            let a = amps.get(span + t);
-            amps.set(
-                span + t,
-                Complex::new(dre * a.re - dim * a.im, dre * a.im + dim * a.re),
-            );
+            scale(span + t, dre, dim);
         }
     }
 }
 
 /// Split-lane scratch for the tiled dense run kernels: `block` gathered
 /// input lanes of up to [`DENSE_TILE`] groups each, plus one output row.
+/// Lane `c` starts at `c · DENSE_TILE`, so a buffer grown for a larger
+/// block serves every smaller one. Every lane entry a kernel reads was
+/// written earlier in the same tile, so reused contents never leak.
 struct RunScratch {
     in_re: Vec<f64>,
     in_im: Vec<f64>,
@@ -1073,15 +1088,55 @@ struct RunScratch {
     out_im: Vec<f64>,
 }
 
-impl RunScratch {
-    fn for_block(block: usize) -> Self {
-        RunScratch {
-            in_re: vec![0.0; block * DENSE_TILE],
-            in_im: vec![0.0; block * DENSE_TILE],
-            out_re: vec![0.0; DENSE_TILE],
-            out_im: vec![0.0; DENSE_TILE],
+/// Per-thread kernel scratch, grown on demand and kept for the thread's
+/// lifetime: the split-lane tile of the dense run kernels, and one complex
+/// buffer shared by the permutation save tiles (plan kernels and the
+/// replay's fused permutations) and the per-group gather of the generic
+/// dense kernel (no caller needs two of them at once).
+struct KernelScratch {
+    run: RunScratch,
+    amps: Vec<Complex>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<KernelScratch> = const {
+        RefCell::new(KernelScratch {
+            run: RunScratch {
+                in_re: Vec::new(),
+                in_im: Vec::new(),
+                out_re: Vec::new(),
+                out_im: Vec::new(),
+            },
+            amps: Vec::new(),
+        })
+    };
+}
+
+/// Runs `f` on this thread's split-lane scratch, grown to hold `block`
+/// lanes.
+fn with_run_scratch<T>(block: usize, f: impl FnOnce(&mut RunScratch) -> T) -> T {
+    SCRATCH.with(|cell| {
+        let run = &mut cell.borrow_mut().run;
+        let lanes = block * DENSE_TILE;
+        if run.in_re.len() < lanes {
+            run.in_re.resize(lanes, 0.0);
+            run.in_im.resize(lanes, 0.0);
+            run.out_re.resize(DENSE_TILE, 0.0);
+            run.out_im.resize(DENSE_TILE, 0.0);
         }
-    }
+        f(run)
+    })
+}
+
+/// Runs `f` on `len` entries of this thread's complex scratch buffer.
+pub(crate) fn with_amp_scratch<T>(len: usize, f: impl FnOnce(&mut [Complex]) -> T) -> T {
+    SCRATCH.with(|cell| {
+        let amps = &mut cell.borrow_mut().amps;
+        if amps.len() < len {
+            amps.resize(len, Complex::ZERO);
+        }
+        f(&mut amps[..len])
+    })
 }
 
 /// Tiled dense kernel over a run of `count` groups whose bases advance by
@@ -1697,6 +1752,48 @@ mod tests {
         );
         let k1_small = ApplyPlan::for_matrix(3, 8, &h, &[4]);
         assert!(k1_small.work_estimate() < PAR_MIN_WORK);
+    }
+
+    #[test]
+    fn target_reductions_match_a_full_index_scan() {
+        use qudit_core::random_state;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(12);
+        for (dim, width) in [(2usize, 5usize), (3, 4)] {
+            let state = random_state(dim, width, &mut rng).unwrap();
+            let amps = state.amplitudes();
+            let mut target_sets: Vec<Vec<usize>> = (0..width).map(|q| vec![q]).collect();
+            target_sets.push(vec![width - 1, 1]);
+            for targets in target_sets {
+                let block = dim.pow(targets.len() as u32);
+                let plan = ApplyPlan::for_matrix(dim, width, &CMatrix::identity(block), &targets);
+                // Reference: ρ[a][b] = Σ over indices agreeing off the targets.
+                let local =
+                    |digits: &[usize]| targets.iter().fold(0, |acc, &q| acc * dim + digits[q]);
+                let mut expected = vec![Complex::ZERO; block * block];
+                for i in 0..amps.len() {
+                    let di = StateVector::decode_index(dim, width, i);
+                    for j in 0..amps.len() {
+                        let dj = StateVector::decode_index(dim, width, j);
+                        let rest_equal = (0..width).all(|q| targets.contains(&q) || di[q] == dj[q]);
+                        if rest_equal {
+                            expected[local(&di) * block + local(&dj)] += amps[i] * amps[j].conj();
+                        }
+                    }
+                }
+                let mut gram = vec![Complex::new(7.0, 7.0); block * block];
+                plan.target_gram(amps, &mut gram);
+                let mut pops = vec![7.0; block];
+                plan.target_populations(amps, &mut pops);
+                for a in 0..block {
+                    assert!((pops[a] - expected[a * block + a].re).abs() < 1e-12);
+                }
+                for (got, want) in gram.iter().zip(&expected) {
+                    assert!(got.approx_eq(*want, 1e-12), "targets {targets:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Ideal (noise-free) circuit simulation.
 
-use crate::kernel::{ApplyPlan, PAR_MIN_WORK};
+use crate::kernel::{with_amp_scratch, ApplyPlan, PAR_MIN_WORK};
 use qudit_circuit::passes::{self, CompiledIr, PassLevel};
 use qudit_circuit::{Circuit, Operation, Schedule};
 use qudit_core::{CoreResult, StateVector};
@@ -385,10 +385,7 @@ impl CompiledCircuit {
                 } => {
                     let amps = state.amplitudes_mut();
                     let run_chunk = |slice: &mut [qudit_core::Complex]| match fused_perm {
-                        Some(cp) => {
-                            let mut save = vec![qudit_core::Complex::ZERO; cp.max_len];
-                            cp.apply(slice, &mut save);
-                        }
+                        Some(cp) => with_amp_scratch(cp.max_len, |save| cp.apply(slice, save)),
                         None => {
                             for plan in plans {
                                 plan.apply_amplitudes(slice, false);

@@ -10,7 +10,8 @@
 //! * the sparse permutation fast path (classical gates, with controls),
 //! * the parallel dispatch (both the contiguous-chunk and the strided
 //!   shared-pointer variants, forced on regardless of host core count),
-//! * the plan-cache path through `Simulator` on whole random circuits.
+//! * the plan-cache path through `Simulator` on whole random circuits,
+//! * per-thread scratch reuse across interleaved plans of different shapes.
 
 use proptest::prelude::*;
 use qudit_circuit::{Circuit, Control, Gate, Operation};
@@ -404,5 +405,56 @@ fn large_register_auto_dispatch_matches_reference() {
         let mut naive = state.clone();
         reference::apply_matrix_naive(&mut naive, &u, &targets);
         assert_states_match(&fast, &naive, what);
+    }
+}
+
+/// The kernels take their scratch (split-lane tiles, permutation save
+/// tiles, per-group gathers) from per-thread buffers that outlive a call.
+/// Interleaving plans of different block sizes and kernel paths on one
+/// thread must never let one plan see another's leftovers — on the
+/// sequential path and on the forced-parallel path.
+#[test]
+fn interleaved_plans_reuse_per_thread_scratch_correctly() {
+    let mut rng = StdRng::seed_from_u64(77);
+    let u3 = random_unitary(3, &mut rng);
+    let u9 = random_unitary(9, &mut rng);
+    let u8 = random_unitary(8, &mut rng);
+    let inc = Gate::increment(3).matrix().clone();
+    let swap = Gate::swap(3).matrix().clone();
+    // (dim, matrix, targets) on a 5-qutrit or 6-qubit register, ordered
+    // so both scratch buffers must grow mid-sequence (tiles 9 → 81, split
+    // lanes for blocks 3 → 8 → 9) and then serve smaller blocks again.
+    let steps: Vec<(usize, &CMatrix, Vec<usize>, &str)> = vec![
+        (3, &swap, vec![0, 2], "permutation k=2, 9-amplitude tiles"),
+        (3, &u3, vec![4], "dense k=1, strided tiled"),
+        (2, &u8, vec![1, 3, 5], "generic dense k=3, per-group gather"),
+        (3, &inc, vec![0], "permutation k=1, 81-amplitude tiles"),
+        (2, &u8, vec![0, 1, 2], "generic dense k=3, tiled"),
+        (3, &u9, vec![0, 1], "dense k=2, contiguous tiled"),
+        (3, &u9, vec![1, 4], "dense k=2, strided tiled"),
+        (3, &u3, vec![2], "dense k=1, contiguous tiled"),
+        (3, &u9, vec![3, 1], "dense k=2, fixed kernel"),
+        (2, &u8, vec![5, 0, 2], "generic dense k=3, strided tiled"),
+    ];
+    let widths = |dim: usize| if dim == 3 { 5 } else { 6 };
+    for parallel in [false, true] {
+        let mut fast = [
+            random_state(3, 5, &mut rng).unwrap(),
+            random_state(2, 6, &mut rng).unwrap(),
+        ];
+        let mut naive = fast.clone();
+        for round in 0..3 {
+            for (dim, matrix, targets, what) in &steps {
+                let slot = usize::from(*dim == 2);
+                let plan = ApplyPlan::for_matrix(*dim, widths(*dim), matrix, targets);
+                plan.apply_forced(&mut fast[slot], parallel);
+                reference::apply_matrix_naive(&mut naive[slot], matrix, targets);
+                assert_states_match(
+                    &fast[slot],
+                    &naive[slot],
+                    &format!("{what} (round {round}, parallel {parallel})"),
+                );
+            }
+        }
     }
 }

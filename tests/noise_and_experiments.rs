@@ -10,9 +10,10 @@
 //! changes.)
 
 use qudit_noise::{
-    exact_fidelity, lambda_m, models, qutrit_two_qudit_reliability_ratio, InputState,
-    TrajectoryConfig,
+    exact_fidelity, lambda_m, models, qutrit_two_qudit_reliability_ratio, CancelToken, InputState,
+    Precision, TrajectoryConfig, TrajectorySimulator,
 };
+use qudit_sim::kernel::SimdLevel;
 use qutrit_toffoli::baselines::{qubit_no_ancilla, qubit_one_dirty_ancilla};
 use qutrit_toffoli::cost::{paper_depth_model, paper_two_qudit_gate_model, Construction};
 use qutrit_toffoli::gen_toffoli::n_controlled_x;
@@ -131,4 +132,66 @@ fn figure9_and_figure10_models_have_the_paper_shape() {
         / paper_two_qudit_gate_model(Construction::Qutrit, 200);
     assert!((r1 - r2).abs() < 1e-9);
     assert!((r1 - 8.0).abs() < 1.0, "the paper quotes an 8x gap");
+}
+
+#[test]
+fn trajectory_trial_streams_are_pinned_bit_for_bit() {
+    // The sum of the per-trial fidelity stream of four Figure 11 bars at 3
+    // controls, 64 random qubit-subspace trials and a fixed seed, pinned to
+    // the bit. Any change to the trial loop (branch sampling, kernel
+    // scratch, input draws, ideal-state reuse) that shifts a single draw or
+    // rounding step moves these sums. The dense run kernels round
+    // differently with and without FMA, so the qubit bars carry one value
+    // per SIMD level.
+    let avx2 = qudit_sim::kernel::simd_level() == SimdLevel::Avx2;
+    let cases = [
+        (
+            "QUBIT/SC",
+            qubit_no_ancilla(3, 2).unwrap(),
+            models::sc(),
+            if avx2 {
+                0x404e_9638_9abf_741f_u64
+            } else {
+                0x404e_9638_9abf_741e
+            },
+        ),
+        (
+            "QUBIT+ANCILLA/SC+T1",
+            qubit_one_dirty_ancilla(3, 2).unwrap(),
+            models::sc_t1(),
+            0x404f_123d_1029_11ad,
+        ),
+        (
+            "QUTRIT/SC+T1+GATES",
+            n_controlled_x(3).unwrap(),
+            models::sc_t1_gates(),
+            0x404f_ffff_e843_86d6,
+        ),
+        (
+            "QUTRIT/DRESSED_QUTRIT",
+            n_controlled_x(3).unwrap(),
+            models::dressed_qutrit(),
+            0x4050_0000_0000_0001,
+        ),
+    ];
+    let config = TrajectoryConfig {
+        trials: 64,
+        seed: 1111,
+        input: InputState::RandomQubitSubspace,
+        ..TrajectoryConfig::default()
+    };
+    for (label, circuit, model, expected) in cases {
+        let sim = TrajectorySimulator::new(&circuit, &model).unwrap();
+        let (estimate, stream) = sim
+            .run_traced(&config, &Precision::FixedTrials, &CancelToken::never())
+            .unwrap();
+        assert_eq!(estimate.trials, 64);
+        let sum: f64 = stream.iter().sum();
+        assert_eq!(
+            sum.to_bits(),
+            expected,
+            "{label}: stream sum {sum} ({:#018x})",
+            sum.to_bits()
+        );
+    }
 }
