@@ -14,9 +14,11 @@ use qudit_sim::{CompiledCircuit, CompiledDensityCircuit, DensityMatrix, Simulato
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
+use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Structural fingerprint of a circuit: dimension, width, and per operation
 /// the gate matrix's bit patterns plus its controls and targets. Two
@@ -143,11 +145,14 @@ type CompileKey = (PassLevel, Option<Topology>, CircuitKey);
 /// the same specs sequentially — the batch determinism test pins this.
 ///
 /// On top of the compilation cache sits a bounded LRU **result cache**
-/// keyed on the spec's canonical wire form (the same key batch dedup
-/// uses): repeated service traffic — the Zipf-shaped request mix the
-/// `zipf` bench models — skips the whole simulation, not just the
-/// compile. Determinism makes this sound: a cache hit is bit-identical to
-/// re-running the spec, which the cache tests pin.
+/// keyed on a 128-bit fingerprint of everything the spec's wire form
+/// carries (the same key batch dedup uses): repeated service traffic — the
+/// Zipf-shaped request mix the `zipf` bench models — skips the whole
+/// simulation, not just the compile. Determinism makes this sound: a cache
+/// hit is bit-identical to re-running the spec, which the cache tests pin.
+/// Hits share the cached output payload rather than copying it, and the
+/// cache is bounded by a fixed 64 MiB of payload as well as by entry
+/// count.
 pub struct Executor {
     cache: Mutex<HashMap<CompileKey, Arc<CacheEntry>>>,
     /// Shared per-gate plan cache for the simulators noisy jobs construct.
@@ -156,10 +161,13 @@ pub struct Executor {
     /// results, so this can be smaller than the number of specs submitted)
     /// — observability for the dedup tests and the server's metrics.
     simulated: AtomicUsize,
-    /// Finished results keyed on the canonical wire form; `result_capacity`
-    /// bounds it (0 disables caching entirely).
+    /// Finished results keyed on [`Executor::result_key`].
     results: Mutex<ResultCache>,
+    /// The entry bound (0 disables result caching entirely).
     result_capacity: usize,
+    /// Per-executor SipHash keys of the two fingerprint halves: random, so
+    /// a client cannot precompute specs that collide in the cache.
+    key_state: [RandomState; 2],
 }
 
 impl Default for Executor {
@@ -181,15 +189,105 @@ const JOB_CACHE_CAP: usize = 256;
 /// payloads can reach `16 B × 3^width` each.
 const RESULT_CACHE_CAP: usize = 512;
 
-/// The result cache's interior: wire-keyed results stamped for LRU
-/// eviction, plus the counters [`ResultCacheStats`] reports.
-#[derive(Default)]
+/// Result-cache byte budget: the payload bytes (see
+/// `ExecutionResult::held_bytes`) all held results may take together. The
+/// entry cap alone would let 512 wide noise-free results hold gigabytes
+/// (`16 B × 3^12` is 8.5 MB per state); under this budget the
+/// least-recently-used entries give way first, and a result larger than
+/// the whole budget is returned but never stored.
+const RESULT_CACHE_MAX_BYTES: usize = 64 << 20;
+
+/// The result cache's interior: fingerprint-keyed results stamped for LRU
+/// eviction with their accounted sizes, plus the counters
+/// [`ResultCacheStats`] reports.
 struct ResultCache {
-    map: HashMap<String, (u64, ExecutionResult)>,
+    /// key → (LRU stamp, held bytes, result).
+    map: HashMap<u128, (u64, usize, ExecutionResult)>,
+    max_entries: usize,
+    max_bytes: usize,
+    bytes: usize,
     stamp: u64,
     hits: usize,
     misses: usize,
     trials_saved: usize,
+}
+
+impl ResultCache {
+    fn new(max_entries: usize, max_bytes: usize) -> ResultCache {
+        ResultCache {
+            map: HashMap::new(),
+            max_entries,
+            max_bytes,
+            bytes: 0,
+            stamp: 0,
+            hits: 0,
+            misses: 0,
+            trials_saved: 0,
+        }
+    }
+
+    /// Looks `key` up; refreshes the LRU stamp and the hit counters on a
+    /// hit. `count_miss` charges the miss counter (the run path does; the
+    /// public probe does not). A hit shares the cached payload.
+    fn lookup(&mut self, key: u128, count_miss: bool) -> Option<ExecutionResult> {
+        self.stamp += 1;
+        let stamp = self.stamp;
+        let Some(entry) = self.map.get_mut(&key) else {
+            if count_miss {
+                self.misses += 1;
+            }
+            return None;
+        };
+        entry.0 = stamp;
+        let result = entry.2.clone();
+        self.hits += 1;
+        if let Some(trials) = result.trials_run() {
+            self.trials_saved += trials;
+        }
+        Some(result)
+    }
+
+    /// Stores a finished result, evicting least-recently-used entries until
+    /// both the entry and the byte bound admit it. Linear-scan eviction: at
+    /// the default capacity one scan is noise next to the simulation the
+    /// insert just paid for.
+    fn store(&mut self, key: u128, result: &ExecutionResult) {
+        let size = result.held_bytes();
+        if self.max_entries == 0 || size > self.max_bytes {
+            return;
+        }
+        if let Some((_, held, _)) = self.map.remove(&key) {
+            self.bytes -= held;
+        }
+        while self.map.len() >= self.max_entries || self.bytes + size > self.max_bytes {
+            let oldest = self
+                .map
+                .iter()
+                .min_by_key(|(_, (stamp, _, _))| *stamp)
+                .map(|(&k, _)| k)
+                .expect("a non-empty cache is over a bound");
+            let (_, held, _) = self.map.remove(&oldest).expect("key just found");
+            self.bytes -= held;
+        }
+        self.stamp += 1;
+        self.bytes += size;
+        self.map.insert(key, (self.stamp, size, result.clone()));
+    }
+}
+
+/// Two independently keyed SipHash streams fed the same bytes — the
+/// 128-bit result-cache key.
+struct Fingerprint128([DefaultHasher; 2]);
+
+impl Hasher for Fingerprint128 {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0[0].write(bytes);
+        self.0[1].write(bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0[0].finish()
+    }
 }
 
 /// A snapshot of the executor's result-cache counters — the service
@@ -217,16 +315,32 @@ impl Executor {
     }
 
     /// Creates an executor whose result cache holds at most `capacity`
-    /// finished results (0 disables result caching; compilation caching is
-    /// unaffected).
+    /// finished results, within the fixed 64 MiB payload budget (0 disables
+    /// result caching; compilation caching is unaffected).
     pub fn with_result_cache(capacity: usize) -> Self {
         Executor {
             cache: Mutex::default(),
             planner: Simulator::default(),
             simulated: AtomicUsize::new(0),
-            results: Mutex::default(),
+            results: Mutex::new(ResultCache::new(capacity, RESULT_CACHE_MAX_BYTES)),
             result_capacity: capacity,
+            key_state: [RandomState::new(), RandomState::new()],
         }
+    }
+
+    /// The result-cache key of `spec`: a 128-bit fingerprint of exactly
+    /// what its wire form carries, under this executor's random SipHash
+    /// keys. Specs with the same wire form — however they were built —
+    /// share a key; any field that changes the wire form changes the key
+    /// (up to a 2⁻¹²⁸-scale collision chance no client can steer).
+    fn result_key(&self, spec: &JobSpec) -> u128 {
+        let mut state = Fingerprint128([
+            self.key_state[0].build_hasher(),
+            self.key_state[1].build_hasher(),
+        ]);
+        spec.fingerprint(&mut state);
+        let [lo, hi] = state.0.map(|h| h.finish());
+        (u128::from(hi) << 64) | u128::from(lo)
     }
 
     /// The number of distinct (circuit, level) compilations currently
@@ -261,7 +375,7 @@ impl Executor {
 
     /// A snapshot of the result-cache counters.
     pub fn result_cache_stats(&self) -> ResultCacheStats {
-        let cache = self.results.lock().unwrap_or_else(|e| e.into_inner());
+        let cache = self.results();
         ResultCacheStats {
             hits: cache.hits,
             misses: cache.misses,
@@ -272,63 +386,24 @@ impl Executor {
     }
 
     /// Probes the result cache for a finished run of `spec` without
-    /// simulating anything. A hit counts toward the hit/trials-saved
-    /// metrics (the caller is serving it); a miss counts nothing — the
-    /// miss is charged when the actual run happens, so a front end that
-    /// probes first and queues on miss does not double-count.
+    /// simulating anything — the server's pre-queue check, keyed like every
+    /// run on the spec's 128-bit fingerprint. A hit counts toward the
+    /// hit/trials-saved metrics (the caller is serving it) and shares the
+    /// cached payload; a miss counts nothing — the miss is charged when the
+    /// actual run happens, so a front end that probes first and queues on
+    /// miss does not double-count.
     pub fn cached_result(&self, spec: &JobSpec) -> Option<ExecutionResult> {
         if self.result_capacity == 0 {
             return None;
         }
-        self.lookup_result(&spec.to_json(), false)
+        self.results().lookup(self.result_key(spec), false)
     }
 
-    /// Cache lookup by canonical wire key; refreshes the LRU stamp and the
-    /// hit counters on a hit. `count_miss` charges the miss counter (the
-    /// run path does; the public probe does not).
-    fn lookup_result(&self, key: &str, count_miss: bool) -> Option<ExecutionResult> {
-        let mut cache = self.results.lock().unwrap_or_else(|e| e.into_inner());
-        cache.stamp += 1;
-        let stamp = cache.stamp;
-        let found = cache.map.get_mut(key).map(|entry| {
-            entry.0 = stamp;
-            entry.1.clone()
-        });
-        match found {
-            Some(result) => {
-                cache.hits += 1;
-                if let Some(trials) = result.trials_run() {
-                    cache.trials_saved += trials;
-                }
-                Some(result)
-            }
-            None => {
-                if count_miss {
-                    cache.misses += 1;
-                }
-                None
-            }
-        }
-    }
-
-    /// Stores a finished result, evicting the least-recently-used entry at
-    /// capacity. Linear-scan eviction: at the default capacity one scan is
-    /// noise next to the simulation the insert just paid for.
-    fn store_result(&self, key: String, result: &ExecutionResult) {
-        let mut cache = self.results.lock().unwrap_or_else(|e| e.into_inner());
-        if cache.map.len() >= self.result_capacity && !cache.map.contains_key(&key) {
-            if let Some(oldest) = cache
-                .map
-                .iter()
-                .min_by_key(|(_, (stamp, _))| *stamp)
-                .map(|(k, _)| k.clone())
-            {
-                cache.map.remove(&oldest);
-            }
-        }
-        cache.stamp += 1;
-        let stamp = cache.stamp;
-        cache.map.insert(key, (stamp, result.clone()));
+    /// The locked result cache. Poisoning is recovered from: the cache's
+    /// updates cannot panic midway, so a panic elsewhere while the lock was
+    /// held leaves it consistent.
+    fn results(&self) -> MutexGuard<'_, ResultCache> {
+        self.results.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Get-or-inserts the cache entry and ensures its IR is compiled. Only
@@ -380,17 +455,28 @@ impl Executor {
     /// [`ApiError::DeadlineExceeded`] once the token trips; otherwise the
     /// same conditions as [`Executor::run`].
     pub fn run_with(&self, spec: &JobSpec, cancel: &CancelToken) -> ApiResult<ExecutionResult> {
+        let key = (self.result_capacity > 0).then(|| self.result_key(spec));
+        self.run_keyed(spec, key, cancel)
+    }
+
+    /// [`Executor::run_with`] given the spec's result key, or `None` when
+    /// result caching is off.
+    fn run_keyed(
+        &self,
+        spec: &JobSpec,
+        key: Option<u128>,
+        cancel: &CancelToken,
+    ) -> ApiResult<ExecutionResult> {
         cancel.check().map_err(ApiError::from)?;
-        if self.result_capacity > 0 {
-            let key = spec.to_json();
-            if let Some(result) = self.lookup_result(&key, true) {
-                return Ok(result);
-            }
-            let result = self.run_uncached(spec, cancel)?;
-            self.store_result(key, &result);
+        let Some(key) = key else {
+            return self.run_uncached(spec, cancel);
+        };
+        if let Some(result) = self.results().lookup(key, true) {
             return Ok(result);
         }
-        self.run_uncached(spec, cancel)
+        let result = self.run_uncached(spec, cancel)?;
+        self.results().store(key, &result);
+        Ok(result)
     }
 
     /// The simulation path behind [`Executor::run_with`], bypassing the
@@ -469,7 +555,7 @@ impl Executor {
                             .collect()
                     }
                 };
-                Outcome::States(outputs)
+                Outcome::States(outputs.into())
             }
         };
         Ok(ExecutionResult {
@@ -488,7 +574,9 @@ impl Executor {
     /// identical specs share one simulation**: every job is deterministic
     /// given its spec (all randomness is seeded from [`JobSpec::seed`]), so
     /// duplicate specs — the normal shape of repeated service traffic —
-    /// are simulated once and the result cloned into each duplicate's slot.
+    /// are simulated once, found by the result cache's fingerprint (so
+    /// dedup holds with the result cache off too), and every duplicate's
+    /// slot shares that one result's payload.
     /// Results are returned in spec order and are bit-identical to calling
     /// [`Executor::run`] on each spec in sequence — the batch determinism
     /// and dedup tests pin this.
@@ -503,24 +591,29 @@ impl Executor {
         specs: &[JobSpec],
         cancel: &CancelToken,
     ) -> Vec<ApiResult<ExecutionResult>> {
-        // Canonical dedup key: the deterministic wire serialization covers
-        // everything that can influence a result (circuit structure, level,
-        // backend, model, trials, seed, input, sweep).
-        let mut first_of: HashMap<String, usize> = HashMap::new();
-        let mut unique: Vec<usize> = Vec::new();
+        // Dedup key: the result-cache fingerprint covers everything that
+        // can influence a result (circuit structure, level, backend, model,
+        // trials, seed, input, sweep, precision, topology).
+        let mut first_of: HashMap<u128, usize> = HashMap::new();
+        let mut unique: Vec<(usize, u128)> = Vec::new();
         let canonical: Vec<usize> = specs
             .iter()
             .enumerate()
             .map(|(i, spec)| {
-                *first_of.entry(spec.to_json()).or_insert_with(|| {
-                    unique.push(i);
+                let key = self.result_key(spec);
+                *first_of.entry(key).or_insert_with(|| {
+                    unique.push((i, key));
                     unique.len() - 1
                 })
             })
             .collect();
+        let cached = self.result_capacity > 0;
         let results: Vec<ApiResult<ExecutionResult>> = (0..unique.len())
             .into_par_iter()
-            .map(|u| self.run_with(&specs[unique[u]], cancel))
+            .map(|u| {
+                let (i, key) = unique[u];
+                self.run_keyed(&specs[i], cached.then_some(key), cancel)
+            })
             .collect();
         canonical.into_iter().map(|u| results[u].clone()).collect()
     }
@@ -720,7 +813,8 @@ impl CompiledStateJob {
 mod tests {
     use super::*;
     use qudit_circuit::{Control, Gate};
-    use qudit_noise::models;
+    use qudit_core::{CMatrix, Complex};
+    use qudit_noise::{models, NoiseModel};
 
     fn toffoli_fig4() -> Circuit {
         let mut c = Circuit::new(3, 3);
@@ -1050,7 +1144,7 @@ mod tests {
         assert!(trials < 2048, "adaptive ran the whole budget ({trials})");
         assert!(early.fidelity().unwrap().conservative_sigma() <= 0.02);
         assert_eq!(fixed.trials_run(), Some(2048));
-        // Distinct wire keys: the two specs must not collide in the cache.
+        // Distinct result keys: the two specs must not collide in the cache.
         assert_ne!(fixed, early);
     }
 
@@ -1126,8 +1220,8 @@ mod tests {
         executor.run(&base).unwrap();
         executor.run(&routed).unwrap();
         assert_eq!(executor.cached_compilations(), 2);
-        // Distinct wire keys keep them apart in the result cache too.
-        assert_ne!(base.to_json(), routed.to_json());
+        // Distinct result keys keep them apart in the result cache too.
+        assert_ne!(executor.result_key(&base), executor.result_key(&routed));
     }
 
     #[test]
@@ -1178,5 +1272,308 @@ mod tests {
         let good = StateVector::from_basis_state(3, &[1, 1, 0]).unwrap();
         let out = job.run(good).unwrap();
         assert!((out.probability(&[1, 1, 1]).unwrap() - 1.0).abs() < 1e-12);
+    }
+
+    /// The fig4 Toffoli with its first gate, first control and second
+    /// target swappable — the circuit-side variations of the key tests.
+    fn fig4_with(first: Gate, first_control: Control, second_target: usize) -> Circuit {
+        let mut c = Circuit::new(3, 3);
+        c.push_controlled(first, &[first_control], &[1]).unwrap();
+        c.push_controlled(Gate::x(3), &[Control::on_two(1)], &[second_target])
+            .unwrap();
+        c.push_controlled(Gate::decrement(3), &[Control::on_one(0)], &[1])
+            .unwrap();
+        c
+    }
+
+    /// `Gate::increment(3)` with its matrix entries transformed by `f` and
+    /// its name replaced.
+    fn increment_variant(name: &str, f: impl Fn(usize, Complex) -> Complex) -> Gate {
+        let base = Gate::increment(3);
+        let data = base
+            .matrix()
+            .as_slice()
+            .iter()
+            .enumerate()
+            .map(|(i, &z)| f(i, z))
+            .collect();
+        Gate::new(name, 3, 1, CMatrix::from_vec(3, 3, data).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn result_key_changes_with_every_wire_field() {
+        use qudit_noise::Precision;
+        let executor = Executor::new();
+        let same_gate = || increment_variant(Gate::increment(3).name(), |_, z| z);
+        let fig4 = || fig4_with(same_gate(), Control::on_one(0), 2);
+        let model = || {
+            models::sc_t1_gates()
+                .with_leakage(1e-4)
+                .with_overrotation(0.01)
+                .with_crosstalk(1e3)
+        };
+        let noisy = |circuit: Circuit, model: NoiseModel| {
+            JobSpec::builder(circuit)
+                .noise(model)
+                .trials(8)
+                .seed(5)
+                .input(InputState::AllOnes)
+        };
+        let base_noisy = noisy(fig4(), model()).build().unwrap();
+        let sweep = || JobSpec::builder(fig4()).sweep(vec![vec![1, 1, 0], vec![0, 1, 1]]);
+        let base_sweep = sweep().build().unwrap();
+        // The rebuilt circuit is the constructor's: a shared starting point.
+        assert_eq!(
+            executor.result_key(&base_noisy),
+            executor.result_key(&noisy(toffoli_fig4(), model()).build().unwrap())
+        );
+
+        let entries = Gate::increment(3).matrix().as_slice().to_vec();
+        let zero = entries.iter().position(|z| z.re.to_bits() == 0).unwrap();
+        let one = entries.iter().position(|z| z.re == 1.0).unwrap();
+        let circuits = [
+            fig4_with(
+                increment_variant("X+1", |i, z| if i == one { z * 0.5 } else { z }),
+                Control::on_one(0),
+                2,
+            ),
+            fig4_with(
+                increment_variant("X+1", |i, z| {
+                    if i == zero {
+                        Complex::new(-0.0, z.im)
+                    } else {
+                        z
+                    }
+                }),
+                Control::on_one(0),
+                2,
+            ),
+            fig4_with(increment_variant("X+1'", |_, z| z), Control::on_one(0), 2),
+            fig4_with(same_gate(), Control::on_two(0), 2),
+            fig4_with(same_gate(), Control::on_one(0), 0),
+        ];
+        let models = [
+            NoiseModel {
+                name: "renamed".to_string(),
+                ..model()
+            },
+            NoiseModel {
+                p1: model().p1 * 2.0,
+                ..model()
+            },
+            NoiseModel {
+                p2: model().p2 * 2.0,
+                ..model()
+            },
+            NoiseModel {
+                t1: model().t1.map(|t| t * 2.0),
+                ..model()
+            },
+            NoiseModel {
+                t1: None,
+                ..model()
+            },
+            NoiseModel {
+                gate_time_1q: model().gate_time_1q * 2.0,
+                ..model()
+            },
+            NoiseModel {
+                gate_time_2q: model().gate_time_2q * 2.0,
+                ..model()
+            },
+            model().with_leakage(2e-4),
+            NoiseModel {
+                leak_rate: None,
+                ..model()
+            },
+            model().with_overrotation(0.02),
+            model().with_crosstalk(2e3),
+        ];
+        let mut variants: Vec<JobSpec> = Vec::new();
+        for circuit in &circuits {
+            variants.push(noisy(circuit.clone(), model()).build().unwrap());
+            variants.push(
+                JobSpec::builder(circuit.clone())
+                    .sweep(vec![vec![1, 1, 0], vec![0, 1, 1]])
+                    .build()
+                    .unwrap(),
+            );
+        }
+        for m in models {
+            variants.push(noisy(fig4(), m).build().unwrap());
+        }
+        for builder in [
+            noisy(fig4(), model()).level(PassLevel::NoisePreserving),
+            noisy(fig4(), model()).backend(BackendKind::DensityMatrix),
+            noisy(fig4(), model()).trials(9),
+            noisy(fig4(), model()).seed(6),
+            noisy(fig4(), model()).input(InputState::RandomQubitSubspace),
+            noisy(fig4(), model()).input(InputState::Basis(vec![1, 1, 0])),
+            noisy(fig4(), model()).input(InputState::Basis(vec![1, 0, 1])),
+            noisy(fig4(), model()).precision(Precision::TargetSigma {
+                sigma: 0.01,
+                min_trials: 4,
+                max_trials: 8,
+            }),
+            noisy(fig4(), model()).topology(Topology::linear(3).unwrap()),
+            noisy(fig4(), model()).topology(Topology::ring(3).unwrap()),
+            noisy(fig4(), model()).topology(
+                Topology::linear(3)
+                    .unwrap()
+                    .with_site_quality(vec![1.0, 2.0, 1.0])
+                    .unwrap(),
+            ),
+            sweep().level(PassLevel::Physical),
+            sweep().backend(BackendKind::DensityMatrix),
+            sweep().sweep(vec![vec![1, 1, 0], vec![0, 1, 2]]),
+            sweep().sweep(vec![vec![1, 1, 0]]),
+            sweep().sweep(Vec::new()),
+            sweep().topology(Topology::linear(3).unwrap()),
+        ] {
+            variants.push(builder.build().unwrap());
+        }
+
+        // Every variant differs from its base in both the wire form and
+        // the key, and no two of the variants or bases collide.
+        let mut keys = std::collections::HashSet::new();
+        let mut wires = std::collections::HashSet::new();
+        for spec in [&base_noisy, &base_sweep].into_iter().chain(&variants) {
+            assert!(keys.insert(executor.result_key(spec)), "{}", spec.to_json());
+            assert!(wires.insert(spec.to_json()), "{}", spec.to_json());
+        }
+    }
+
+    #[test]
+    fn result_key_is_stable_across_a_wire_round_trip() {
+        // Specs built by another crate arrive here as wire text, exactly as
+        // a server receives them.
+        let mut wires = bench::serve_support::mixed_job_jsons();
+        for (construction, model) in bench::figure11_pairs() {
+            for backend in [BackendKind::Trajectory, BackendKind::DensityMatrix] {
+                for controls in [2, 4] {
+                    if let Ok(spec) =
+                        bench::figure11_job(backend, construction, &model, controls, 256, 7)
+                    {
+                        wires.push(spec.to_json());
+                    }
+                }
+            }
+        }
+        assert!(wires.len() > 3 + 32, "the Figure 11 sweep is missing");
+        let executor = Executor::new();
+        for wire in wires {
+            let spec = JobSpec::from_json(&wire).unwrap();
+            let again = JobSpec::from_json(&spec.to_json()).unwrap();
+            assert_eq!(
+                executor.result_key(&again),
+                executor.result_key(&spec),
+                "{wire}"
+            );
+        }
+    }
+
+    #[test]
+    fn result_keys_are_seeded_per_executor() {
+        let spec = JobSpec::builder(toffoli_fig4()).build().unwrap();
+        let (a, b) = (Executor::new(), Executor::new());
+        assert_eq!(a.result_key(&spec), a.result_key(&spec));
+        assert_ne!(a.result_key(&spec), b.result_key(&spec));
+        // The two halves come from independently keyed streams.
+        let key = a.result_key(&spec);
+        assert_ne!(key >> 64, key & u128::from(u64::MAX));
+    }
+
+    /// A result holding `states` populations payloads of `amps` entries.
+    fn populations_result(states: usize, amps: usize, fill: f64) -> ExecutionResult {
+        ExecutionResult {
+            backend: BackendKind::DensityMatrix,
+            resources: qudit_circuit::ResourceReport::measure(&toffoli_fig4()),
+            outcome: Outcome::States(
+                (0..states)
+                    .map(|_| OutputState::Populations {
+                        dim: amps,
+                        width: 1,
+                        probabilities: vec![fill; amps],
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
+    #[test]
+    fn result_cache_evicts_by_bytes_and_refuses_oversized_results() {
+        let one = populations_result(1, 100, 0.5).held_bytes();
+        // Room for three such results by bytes, ten by entries.
+        let mut cache = ResultCache::new(10, 3 * one + one / 2);
+        for key in 0..8u128 {
+            let result = populations_result(1, 100, key as f64);
+            cache.store(key, &result);
+            assert!(cache.bytes <= cache.max_bytes);
+            assert_eq!(
+                cache.bytes,
+                cache.map.values().map(|(_, held, _)| held).sum::<usize>()
+            );
+            // The newest entry is always held, and a hit shares its payload.
+            let hit = cache.lookup(key, true).unwrap();
+            assert_eq!(hit, result);
+            let (Outcome::States(held), Outcome::States(got)) =
+                (&cache.map[&key].2.outcome, &hit.outcome)
+            else {
+                panic!("states outcome expected");
+            };
+            assert!(Arc::ptr_eq(held, got));
+        }
+        assert_eq!(cache.map.len(), 3);
+        assert!(cache.lookup(4, true).is_none(), "the LRU entry went first");
+        // A result larger than the whole budget is never stored, and
+        // storing it evicts nothing.
+        let before = cache.bytes;
+        cache.store(99, &populations_result(1, 1000, 1.0));
+        assert!(cache.lookup(99, true).is_none());
+        assert_eq!((cache.bytes, cache.map.len()), (before, 3));
+    }
+
+    #[test]
+    fn wide_results_stay_within_the_byte_budget_and_hit_bit_identically() {
+        // 11 qutrits: 2.8 MB per state, six states (17 MB) per result, so
+        // six distinct results overrun the 64 MiB budget.
+        let mut c = Circuit::new(3, 11);
+        c.push_controlled(Gate::x(3), &[Control::on_one(0)], &[10])
+            .unwrap();
+        let make = |first: usize| {
+            JobSpec::builder(c.clone())
+                .sweep(
+                    (0..6)
+                        .map(|i| StateVector::decode_index(3, 11, 6 * first + i))
+                        .collect(),
+                )
+                .build()
+                .unwrap()
+        };
+        let executor = Executor::new();
+        for first in 0..6 {
+            executor.run(&make(first)).unwrap();
+            let held = executor.results().bytes;
+            assert!(held <= RESULT_CACHE_MAX_BYTES, "{held} bytes held");
+            assert!(executor.result_cache_stats().entries >= 1);
+        }
+        assert!(executor.result_cache_stats().entries < 6);
+        assert!(executor.cached_result(&make(0)).is_none());
+        let simulated = executor.jobs_simulated();
+        let hit = executor.run(&make(5)).unwrap();
+        assert_eq!(executor.jobs_simulated(), simulated, "must be a hit");
+        let fresh = Executor::with_result_cache(0).run(&make(5)).unwrap();
+        let (hit, fresh) = (hit.states().unwrap(), fresh.states().unwrap());
+        assert_eq!(hit.len(), fresh.len());
+        for (a, b) in hit.iter().zip(fresh) {
+            let (a, b) = (a.pure().unwrap(), b.pure().unwrap());
+            assert!(
+                a.amplitudes()
+                    .iter()
+                    .zip(b.amplitudes())
+                    .all(|(x, y)| x.re.to_bits() == y.re.to_bits()
+                        && x.im.to_bits() == y.im.to_bits())
+            );
+        }
     }
 }

@@ -5,6 +5,7 @@ use qudit_circuit::ResourceReport;
 use qudit_core::StateVector;
 use qudit_noise::{BackendKind, FidelityEstimate, SimOutput};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use std::sync::Arc;
 
 /// The result of running one [`JobSpec`](crate::JobSpec): which backend
 /// produced it, the compiled circuit's resource report (post-pass, at the
@@ -61,6 +62,28 @@ impl ExecutionResult {
         }
     }
 
+    /// The bytes this result holds: the struct plus its output payload
+    /// (amplitudes or populations) — what the executor's result cache
+    /// budgets per entry.
+    pub(crate) fn held_bytes(&self) -> usize {
+        let payload = match &self.outcome {
+            Outcome::States(states) => states
+                .iter()
+                .map(|state| {
+                    size_of::<OutputState>()
+                        + match state {
+                            OutputState::Pure(psi) => size_of_val(psi.amplitudes()),
+                            OutputState::Populations { probabilities, .. } => {
+                                size_of_val(probabilities.as_slice())
+                            }
+                        }
+                })
+                .sum(),
+            Outcome::Fidelity(_) => 0,
+        };
+        size_of::<ExecutionResult>() + payload
+    }
+
     /// Serializes the result to compact JSON.
     pub fn to_json(&self) -> String {
         serde::json::to_string(self)
@@ -79,8 +102,10 @@ impl ExecutionResult {
 /// The payload of an [`ExecutionResult`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum Outcome {
-    /// Noise-free evolution: one output per input, in input order.
-    States(Vec<OutputState>),
+    /// Noise-free evolution: one output per input, in input order. Shared,
+    /// not copied, by clones — a result-cache hit and every batch duplicate
+    /// of a spec hold the same states.
+    States(Arc<[OutputState]>),
     /// Noisy simulation: the mean fidelity with its error bars (the
     /// sample standard error plus the binomial bound via
     /// [`FidelityEstimate::binomial_sigma`]).
@@ -246,7 +271,7 @@ impl Serialize for Outcome {
         match self {
             Outcome::States(states) => Value::object(vec![
                 ("kind", "states".to_value()),
-                ("states", states.to_value()),
+                ("states", states[..].to_value()),
             ]),
             Outcome::Fidelity(estimate) => Value::object(vec![
                 ("kind", "fidelity".to_value()),
@@ -262,9 +287,9 @@ impl Serialize for Outcome {
 impl Deserialize for Outcome {
     fn from_value(value: &Value) -> Result<Self, SerdeError> {
         match value.field("kind")?.as_str()? {
-            "states" => Ok(Outcome::States(Vec::<OutputState>::from_value(
-                value.field("states")?,
-            )?)),
+            "states" => Ok(Outcome::States(
+                Vec::<OutputState>::from_value(value.field("states")?)?.into(),
+            )),
             "fidelity" => Ok(Outcome::Fidelity(FidelityEstimate::from_value(
                 value.field("estimate")?,
             )?)),
@@ -329,14 +354,14 @@ mod tests {
     fn execution_result_round_trips_through_json() {
         let psi = StateVector::from_basis_state(3, &[1, 1, 1]).unwrap();
         for outcome in [
-            Outcome::States(vec![
+            Outcome::States(Arc::from([
                 OutputState::Pure(psi.clone()),
                 OutputState::Populations {
                     dim: 3,
                     width: 1,
                     probabilities: vec![0.25, 0.75, 0.0],
                 },
-            ]),
+            ])),
             Outcome::Fidelity(FidelityEstimate {
                 mean: 0.987_654_321,
                 std_error: 2e-4,

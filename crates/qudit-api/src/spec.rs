@@ -2,9 +2,10 @@
 
 use crate::cli::CliArgs;
 use crate::error::{ApiError, ApiResult};
-use qudit_circuit::{Circuit, PassLevel, Topology};
+use qudit_circuit::{Circuit, PassLevel, Topology, TopologyKind};
 use qudit_noise::{BackendKind, InputState, NoiseModel, Precision};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use std::hash::{Hash, Hasher};
 
 /// The largest density matrix a job may allocate per run: `3^14` entries
 /// (7 qutrits, ~76 MB). Beyond this, random-input averaging fans one ρ out
@@ -134,6 +135,105 @@ impl JobSpec {
         self.topology.as_ref()
     }
 
+    /// Feeds `state` exactly what [`JobSpec::to_json`] writes, in the same
+    /// order, in one streaming pass that builds no string or value tree:
+    /// per operation the gate name, dim, target count, matrix shape and raw
+    /// entry bits (`-0.0` stays distinct from `0.0`, as on the wire), the
+    /// controls and the targets; then level, backend, the whole noise model,
+    /// trials, seed, input, sweep, precision and topology. Variable-length
+    /// fields are length-prefixed and optional or enumerated ones tagged, so
+    /// specs whose wire forms differ feed different byte streams and equal
+    /// wire forms feed equal streams (non-finite floats aside, which the wire
+    /// collapses to `null`) — the executor's result-cache and batch-dedup
+    /// key.
+    pub(crate) fn fingerprint<H: Hasher>(&self, state: &mut H) {
+        let circuit = &self.circuit;
+        state.write_usize(circuit.dim());
+        state.write_usize(circuit.width());
+        state.write_usize(circuit.len());
+        for op in circuit.iter() {
+            let gate = op.gate();
+            gate.name().hash(state);
+            state.write_usize(gate.dim());
+            state.write_usize(gate.num_targets());
+            let matrix = gate.matrix();
+            state.write_usize(matrix.rows());
+            state.write_usize(matrix.cols());
+            for z in matrix.as_slice() {
+                write_f64(state, z.re);
+                write_f64(state, z.im);
+            }
+            state.write_usize(op.controls().len());
+            for control in op.controls() {
+                state.write_usize(control.qudit);
+                state.write_usize(control.level);
+            }
+            op.targets().hash(state);
+        }
+        self.level.name().hash(state);
+        self.backend.name().hash(state);
+        match &self.noise {
+            None => state.write_u8(0),
+            Some(model) => {
+                state.write_u8(1);
+                model.name.hash(state);
+                write_f64(state, model.p1);
+                write_f64(state, model.p2);
+                write_opt_f64(state, model.t1);
+                write_f64(state, model.gate_time_1q);
+                write_f64(state, model.gate_time_2q);
+                write_opt_f64(state, model.leak_rate);
+                write_opt_f64(state, model.overrotation);
+                write_opt_f64(state, model.crosstalk);
+            }
+        }
+        state.write_usize(self.trials);
+        state.write_u64(self.seed);
+        match &self.input {
+            InputState::RandomQubitSubspace => state.write_u8(0),
+            InputState::AllOnes => state.write_u8(1),
+            InputState::Basis(digits) => {
+                state.write_u8(2);
+                digits.hash(state);
+            }
+        }
+        self.sweep.hash(state);
+        match self.precision {
+            Precision::FixedTrials => state.write_u8(0),
+            Precision::TargetSigma {
+                sigma,
+                min_trials,
+                max_trials,
+            } => {
+                state.write_u8(1);
+                write_f64(state, sigma);
+                state.write_usize(min_trials);
+                state.write_usize(max_trials);
+            }
+        }
+        match &self.topology {
+            None => state.write_u8(0),
+            Some(topology) => {
+                state.write_u8(1);
+                topology.kind().name().hash(state);
+                match topology.kind() {
+                    TopologyKind::Grid { rows, cols } => {
+                        state.write_usize(rows);
+                        state.write_usize(cols);
+                    }
+                    TopologyKind::HeavyHex { cells } => state.write_usize(cells),
+                    _ => state.write_usize(topology.sites()),
+                }
+                for quality in [topology.site_quality(), topology.edge_quality()] {
+                    state.write_usize(quality.len());
+                    for &q in quality {
+                        write_f64(state, q);
+                    }
+                }
+            }
+        }
+    }
+
     /// Serializes the spec to compact JSON.
     pub fn to_json(&self) -> String {
         serde::json::to_string(self)
@@ -186,6 +286,23 @@ impl JobSpec {
             builder = builder.topology(Topology::from_value(topology)?);
         }
         builder.build()
+    }
+}
+
+/// Feeds a float's raw bit pattern: no `-0.0` normalization, since the
+/// wire form keeps the sign of zero.
+fn write_f64<H: Hasher>(state: &mut H, x: f64) {
+    state.write_u64(x.to_bits());
+}
+
+/// Feeds a tagged optional float (`None` and `Some` never share a stream).
+fn write_opt_f64<H: Hasher>(state: &mut H, x: Option<f64>) {
+    match x {
+        None => state.write_u8(0),
+        Some(x) => {
+            state.write_u8(1);
+            write_f64(state, x);
+        }
     }
 }
 
@@ -435,8 +552,8 @@ impl Serialize for JobSpec {
             ("precision", self.precision.to_value()),
         ];
         // Only-when-Some: unrouted specs keep their pre-routing byte layout,
-        // so golden files, result-cache keys and batch-dedup keys are
-        // untouched by the field's existence.
+        // so golden files and older clients are untouched by the field's
+        // existence.
         if let Some(topology) = &self.topology {
             fields.push(("topology", topology.to_value()));
         }

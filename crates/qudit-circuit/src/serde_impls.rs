@@ -58,8 +58,8 @@ impl Serialize for Operation {
     fn to_value(&self) -> Value {
         Value::object(vec![
             ("gate", self.gate().to_value()),
-            ("controls", self.controls().to_vec().to_value()),
-            ("targets", self.targets().to_vec().to_value()),
+            ("controls", self.controls().to_value()),
+            ("targets", self.targets().to_value()),
         ])
     }
 }
@@ -78,7 +78,7 @@ impl Serialize for Circuit {
         Value::object(vec![
             ("dim", self.dim().to_value()),
             ("width", self.width().to_value()),
-            ("operations", self.operations().to_vec().to_value()),
+            ("operations", self.operations().to_value()),
         ])
     }
 }
@@ -236,10 +236,10 @@ impl Serialize for Topology {
             _ => fields.push(("sites", self.sites().to_value())),
         }
         if !self.site_quality().is_empty() {
-            fields.push(("site_quality", self.site_quality().to_vec().to_value()));
+            fields.push(("site_quality", self.site_quality().to_value()));
         }
         if !self.edge_quality().is_empty() {
-            fields.push(("edge_quality", self.edge_quality().to_vec().to_value()));
+            fields.push(("edge_quality", self.edge_quality().to_value()));
         }
         Value::object(fields)
     }

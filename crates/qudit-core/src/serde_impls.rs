@@ -44,7 +44,7 @@ impl Serialize for CMatrix {
         Value::object(vec![
             ("rows", self.rows().to_value()),
             ("cols", self.cols().to_value()),
-            ("data", self.as_slice().to_vec().to_value()),
+            ("data", self.as_slice().to_value()),
         ])
     }
 }
@@ -63,7 +63,7 @@ impl Serialize for StateVector {
         Value::object(vec![
             ("dim", self.dim().to_value()),
             ("qudits", self.num_qudits().to_value()),
-            ("amplitudes", self.amplitudes().to_vec().to_value()),
+            ("amplitudes", self.amplitudes().to_value()),
         ])
     }
 }

@@ -18,8 +18,8 @@ impl Serialize for NoiseModel {
             ("gate_time_2q", self.gate_time_2q.to_value()),
         ];
         // Only-when-Some: a model without the optional channels keeps its
-        // pre-extension byte layout, so golden files, result-cache keys and
-        // batch-dedup keys are untouched by the fields' existence.
+        // pre-extension byte layout, so golden files and older clients are
+        // untouched by the fields' existence.
         if let Some(p) = self.leak_rate {
             fields.push(("leak_rate", p.to_value()));
         }

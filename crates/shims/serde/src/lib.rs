@@ -307,9 +307,15 @@ impl Serialize for str {
     }
 }
 
-impl<T: Serialize> Serialize for Vec<T> {
+impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+}
+
+impl<T: Serialize> Serialize for Vec<T> {
+    fn to_value(&self) -> Value {
+        self.as_slice().to_value()
     }
 }
 

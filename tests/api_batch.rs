@@ -24,7 +24,7 @@ fn assert_bit_identical(a: &Outcome, b: &Outcome) {
         }
         (Outcome::States(xs), Outcome::States(ys)) => {
             assert_eq!(xs.len(), ys.len());
-            for (x, y) in xs.iter().zip(ys) {
+            for (x, y) in xs.iter().zip(ys.iter()) {
                 let (px, py) = (x.probabilities(), y.probabilities());
                 assert_eq!(px.len(), py.len());
                 for (a, b) in px.iter().zip(&py) {
@@ -218,5 +218,57 @@ fn batch_deduplicates_identical_specs_and_stays_bit_identical() {
     for (spec, result) in specs.iter().zip(&batch) {
         let sequential = fresh.run(spec).unwrap();
         assert_bit_identical(&result.as_ref().unwrap().outcome, &sequential.outcome);
+    }
+}
+
+#[test]
+fn batch_dedup_merges_only_specs_with_the_same_wire_form() {
+    // Result caching off: every merge below is batch dedup's own doing.
+    let noisy = |model: qudit_noise::NoiseModel, seed: u64| {
+        JobSpec::builder(fig4_toffoli())
+            .noise(model)
+            .trials(4)
+            .seed(seed)
+            .input(InputState::AllOnes)
+            .build()
+            .unwrap()
+    };
+    let renamed = qudit_noise::NoiseModel {
+        name: "SC (renamed)".to_string(),
+        ..models::sc()
+    };
+    let simulated = |specs: &[JobSpec]| {
+        let executor = Executor::with_result_cache(0);
+        for result in executor.run_batch(specs) {
+            result.unwrap();
+        }
+        executor.jobs_simulated()
+    };
+    // Same everything but the seed: two simulations.
+    assert_eq!(
+        simulated(&[noisy(models::sc(), 1), noisy(models::sc(), 2)]),
+        2
+    );
+    // Same physics, different model name: the wire forms differ, so the
+    // results are not merged.
+    assert_eq!(simulated(&[noisy(models::sc(), 1), noisy(renamed, 1)]), 2);
+    // Independently rebuilt identical specs (fresh circuit, fresh model,
+    // fresh sweep each time): one simulation, shared by every slot.
+    let sweep = || {
+        JobSpec::builder(fig4_toffoli())
+            .sweep(vec![vec![1, 1, 0], vec![0, 1, 1]])
+            .build()
+            .unwrap()
+    };
+    assert_eq!(
+        simulated(&[noisy(models::sc(), 1), noisy(models::sc(), 1)]),
+        1
+    );
+    let executor = Executor::with_result_cache(0);
+    let batch = executor.run_batch(&[sweep(), sweep(), sweep()]);
+    assert_eq!(executor.jobs_simulated(), 1);
+    let first = batch[0].as_ref().unwrap();
+    for result in &batch[1..] {
+        assert_bit_identical(&result.as_ref().unwrap().outcome, &first.outcome);
     }
 }

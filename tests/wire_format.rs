@@ -1,13 +1,14 @@
 //! Wire-format suite for the `qudit-api` façade: property-based round-trip
 //! tests (`Circuit` / `NoiseModel` / `JobSpec` → JSON → back, equal — with
-//! every float bit-exact), plus a golden serialized Figure 4 Toffoli job
-//! checked into `tests/golden/` so the wire format cannot drift silently.
+//! every float bit-exact), plus golden serialized Figure 4 Toffoli jobs and
+//! a golden noise-free sweep result checked into `tests/golden/` so the wire
+//! format cannot drift silently.
 //!
-//! Regenerate the golden file after an *intentional* format change with:
+//! Regenerate the golden files after an *intentional* format change with:
 //! `UPDATE_GOLDEN=1 cargo test --test wire_format`
 
 use proptest::prelude::*;
-use qudit_api::{BackendKind, InputState, JobSpec, PassLevel, Topology};
+use qudit_api::{BackendKind, ExecutionResult, Executor, InputState, JobSpec, PassLevel, Topology};
 use qudit_circuit::{Circuit, Control, Gate};
 use qudit_core::{complex_gaussian, CMatrix, Complex};
 use qudit_noise::{models, NoiseModel};
@@ -253,4 +254,30 @@ fn golden_routed_fig4_job_matches_the_checked_in_wire_format() {
         "wire format drifted from tests/golden/fig4_toffoli_routed_job.json"
     );
     assert_eq!(JobSpec::from_json(&golden).unwrap(), spec);
+}
+
+#[test]
+fn golden_fig4_sweep_result_matches_the_checked_in_wire_format() {
+    // A noise-free result payload: the fig4 Toffoli evolved over a
+    // two-input basis sweep — pins the `states` outcome's byte layout.
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/fig4_sweep_result.json"
+    );
+    let spec = JobSpec::builder(n_controlled_x(2).expect("fig4 construction"))
+        .sweep(vec![vec![1, 1, 0], vec![0, 1, 1]])
+        .build()
+        .expect("valid sweep spec");
+    let result = Executor::new().run(&spec).expect("noise-free sweep runs");
+    let rendered = result.to_json();
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(path, &rendered).expect("write golden file");
+    }
+    let golden = std::fs::read_to_string(path)
+        .expect("golden file missing — run `UPDATE_GOLDEN=1 cargo test --test wire_format` once");
+    assert_eq!(
+        golden, rendered,
+        "wire format drifted from tests/golden/fig4_sweep_result.json"
+    );
+    assert_eq!(ExecutionResult::from_json(&golden).unwrap(), result);
 }
