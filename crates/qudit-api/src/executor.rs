@@ -496,21 +496,20 @@ impl Executor {
                 let config = TrajectoryConfig {
                     trials: spec.trials(),
                     seed: spec.seed(),
-                    level: spec.level(),
                     input: routed_input(spec.input(), routing),
                 };
                 let artifacts = entry.noise(&ir)?;
                 let estimate = match spec.backend() {
                     BackendKind::Trajectory => {
                         TrajectorySimulator::from_artifacts_with(&artifacts, model, &self.planner)?
-                            .run_with_precision(&config, spec.precision(), cancel)?
+                            .run(&config, spec.precision(), cancel, None)?
                     }
                     BackendKind::DensityMatrix => DensityNoiseSimulator::from_artifacts_with(
                         &artifacts,
                         model,
                         &self.planner,
                     )?
-                    .run_with_precision(&config, spec.precision(), cancel)?,
+                    .run(&config, spec.precision(), cancel)?,
                 };
                 Outcome::Fidelity(estimate)
             }
@@ -550,7 +549,11 @@ impl Executor {
                                 if let Some(map) = &unembed {
                                     permute_density(&mut rho, map, spec.circuit().dim());
                                 }
-                                OutputState::from_sim_output(qudit_noise::SimOutput::Mixed(rho))
+                                OutputState::Populations {
+                                    dim: rho.dim(),
+                                    width: rho.num_qudits(),
+                                    probabilities: rho.diagonal(),
+                                }
                             })
                             .collect()
                     }

@@ -6,27 +6,24 @@
 //! applies every channel *exactly* as its superoperator `Σᵢ Kᵢ ⊗ conj(Kᵢ)`
 //! instead of drawing one branch. The resulting fidelity
 //! `⟨ψ_ideal|ρ|ψ_ideal⟩` is the ground-truth value the trajectory estimates
-//! converge to; the cross-validation harness ([`crate::cross_validate`])
-//! asserts exactly that, and the `decomposition_diff` suite asserts the
-//! physically lowered program agrees with an independent virtual-accounting
-//! oracle to ≤ 1e-9.
+//! converge to; the cross-validation gate
+//! ([`CrossValidation`](crate::CrossValidation), run by the `qudit-api`
+//! executor) asserts exactly that, and the `decomposition_diff` suite
+//! asserts the physically lowered program agrees with an independent
+//! virtual-accounting oracle to ≤ 1e-9.
 //!
 //! Cost: `d^2n` entries instead of `d^n` amplitudes, so this is the small-n
 //! oracle (≲ 6–7 qutrits) while trajectories remain the scalable engine.
 
 use crate::cancel::CancelToken;
-use crate::error::{NoiseError, NoiseResult};
+use crate::error::NoiseResult;
 use crate::models::NoiseModel;
 use crate::trajectory::{
-    build_noise_sites, estimate_from_samples, FidelityEstimate, InputState, NoiseProgram,
-    NoiseSites, Precision, TrajectoryConfig, Welford,
+    estimate_from_samples, run_until_sigma, FidelityEstimate, InputState, NoiseProgram, NoiseSites,
+    Precision, TrajectoryConfig,
 };
-use qudit_circuit::passes::{CompiledIr, PassLevel};
 use qudit_core::{random_qubit_subspace_state, CoreError, StateVector};
-use qudit_sim::{
-    superoperator_targets, ApplyPlan, CompiledCircuit, CompiledDensityCircuit, DensityMatrix,
-    Simulator,
-};
+use qudit_sim::{ApplyPlan, CompiledCircuit, CompiledDensityCircuit, DensityMatrix, Simulator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -35,10 +32,10 @@ use std::sync::Arc;
 /// An exact density-matrix noise simulator bound to a circuit and a noise
 /// model.
 ///
-/// Construction compiles a `NoiseProgram` (physically lowered by
-/// default) and compiles the program circuit twice — a state-vector
+/// Built from [`SharedNoiseArtifacts`](crate::SharedNoiseArtifacts): the
+/// noise program, the program circuit compiled twice — a state-vector
 /// [`CompiledCircuit`] for the ideal reference output and a
-/// [`CompiledDensityCircuit`] for the noisy `U·ρ·U†` evolution — plus one
+/// [`CompiledDensityCircuit`] for the noisy `U·ρ·U†` evolution — and one
 /// superoperator [`ApplyPlan`] per (channel, site). Everything is
 /// immutable and `Sync`, so input averaging fans out across rayon workers.
 pub struct DensityNoiseSimulator<'a> {
@@ -53,90 +50,12 @@ pub struct DensityNoiseSimulator<'a> {
 }
 
 impl<'a> DensityNoiseSimulator<'a> {
-    /// Builds the simulator on the physically lowered circuit — the
-    /// default accounting.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the model parameters are unphysical for the
-    /// circuit's qudit dimension, or the circuit cannot be lowered.
-    pub fn new(circuit: &qudit_circuit::Circuit, model: &'a NoiseModel) -> NoiseResult<Self> {
-        Self::from_program(NoiseProgram::physical(circuit)?, model)
-    }
-
-    /// Builds the simulator on the logical-granularity ablation accounting
-    /// (one error per unlowered operation; the optimistic baseline).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the model parameters are unphysical for the
-    /// circuit's qudit dimension.
-    pub fn logical(circuit: &qudit_circuit::Circuit, model: &'a NoiseModel) -> NoiseResult<Self> {
-        Self::from_program(NoiseProgram::logical(circuit), model)
-    }
-
-    /// Builds the simulator a pass level selects: [`PassLevel::Physical`]
-    /// → the lowered accounting, [`PassLevel::NoisePreserving`] → the
-    /// logical ablation. The single dispatch point behind
-    /// [`exact_fidelity`] and the [`Backend`](crate::Backend) trait.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NoiseError::UnsupportedLevel`] for the optimizing levels;
-    /// otherwise the same conditions as [`DensityNoiseSimulator::new`].
-    pub fn with_level(
-        circuit: &qudit_circuit::Circuit,
-        model: &'a NoiseModel,
-        level: PassLevel,
-    ) -> NoiseResult<Self> {
-        match level {
-            PassLevel::Physical => Self::new(circuit, model),
-            PassLevel::NoisePreserving => Self::logical(circuit, model),
-            level => Err(NoiseError::UnsupportedLevel {
-                level: level.name(),
-            }),
-        }
-    }
-
-    /// Builds the simulator from an already-compiled IR, skipping the pass
-    /// pipeline: the accounting follows the level the IR was compiled at.
-    /// The compile-once entry point the `qudit-api` executor uses.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NoiseError::UnsupportedLevel`] if the IR was compiled at
-    /// an optimizing level, or an error if the model parameters are
-    /// unphysical for the circuit's qudit dimension.
-    pub fn from_compiled(ir: &CompiledIr, model: &'a NoiseModel) -> NoiseResult<Self> {
-        Self::from_program(NoiseProgram::from_ir(ir)?, model)
-    }
-
-    /// Like [`DensityNoiseSimulator::from_compiled`], but the ideal
-    /// reference's gate plans compile through the caller's [`Simulator`]
-    /// plan cache, shared across simulators over the same circuit. (The
-    /// superoperator pair plans and channel plans are model-shaped and
-    /// still build per construction.)
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DensityNoiseSimulator::from_compiled`].
-    pub fn from_compiled_with(
-        ir: &CompiledIr,
-        model: &'a NoiseModel,
-        planner: &Simulator,
-    ) -> NoiseResult<Self> {
-        Self::from_program_with(NoiseProgram::from_ir(ir)?, model, planner)
-    }
-
-    fn from_program(program: NoiseProgram, model: &'a NoiseModel) -> NoiseResult<Self> {
-        Self::from_program_with(program, model, &Simulator::new())
-    }
-
-    /// Builds the simulator on memoized shared artifacts (see
-    /// [`SharedNoiseArtifacts`](crate::SharedNoiseArtifacts)): the noise
-    /// program, both compiled replays and the per-site superoperator plans
-    /// are all shared — repeated constructions over the same cached circuit
-    /// entry build nothing at all.
+    /// Builds the simulator on memoized shared artifacts: the noise
+    /// program, both compiled replays (the ideal one through `planner`'s
+    /// plan cache) and the per-site superoperator plans are all shared —
+    /// repeated constructions over the same artifacts build nothing at
+    /// all. The accounting follows the level the artifacts' IR was
+    /// compiled at.
     ///
     /// # Errors
     ///
@@ -155,65 +74,19 @@ impl<'a> DensityNoiseSimulator<'a> {
         })
     }
 
-    fn from_program_with(
-        program: NoiseProgram,
-        model: &'a NoiseModel,
-        planner: &Simulator,
-    ) -> NoiseResult<Self> {
-        let d = program.circuit.dim();
-        let n = program.circuit.width();
-        let sites = build_noise_sites(&program, model, |c, qudits| {
-            ApplyPlan::for_matrix(
-                d,
-                2 * n,
-                &c.superoperator(),
-                &superoperator_targets(qudits, n),
-            )
-        })?;
-        Ok(DensityNoiseSimulator {
-            ideal: Arc::new(planner.compile(&program.circuit)),
-            noisy: Arc::new(CompiledDensityCircuit::compile(&program.circuit)),
-            program: Arc::new(program),
-            model,
-            sites: Arc::new(sites),
-        })
-    }
-
     /// The noise model in use.
     pub fn model(&self) -> &NoiseModel {
         self.model
     }
 
     /// Evolves `|ψ⟩⟨ψ|` for the initial state `initial` through the noisy
-    /// process exactly and returns the final density matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state shape does not match the circuit.
-    pub fn evolve(&self, initial: &StateVector) -> DensityMatrix {
-        match self.evolve_cancellable(initial, &CancelToken::never()) {
-            Ok(rho) => rho,
-            Err(_) => unreachable!("the never token cannot cancel an evolution"),
-        }
-    }
-
-    /// Like [`DensityNoiseSimulator::evolve`], but checks `cancel` between
-    /// frames — density frames are the expensive unit of work here
-    /// (`d^2n`-entry superoperator applies), so per-frame granularity bounds
-    /// the overrun after a deadline expires.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NoiseError::Cancelled`] once the token trips.
-    ///
-    /// # Panics
+    /// process exactly and returns the final density matrix, checking
+    /// `cancel` between frames — density frames are the expensive unit of
+    /// work here (`d^2n`-entry superoperator applies), so per-frame
+    /// granularity bounds the overrun after a deadline expires.
     ///
     /// Panics if the state shape does not match the circuit.
-    pub fn evolve_cancellable(
-        &self,
-        initial: &StateVector,
-        cancel: &CancelToken,
-    ) -> NoiseResult<DensityMatrix> {
+    fn evolve(&self, initial: &StateVector, cancel: &CancelToken) -> NoiseResult<DensityMatrix> {
         let mut rho = DensityMatrix::from_pure(initial);
         for (frame_idx, frame) in self.program.frames.iter().enumerate() {
             cancel.check()?;
@@ -248,34 +121,10 @@ impl<'a> DensityNoiseSimulator<'a> {
 
     /// The exact fidelity `⟨ψ_ideal|ρ_noisy|ψ_ideal⟩` for one initial state.
     ///
-    /// # Panics
-    ///
     /// Panics if the state shape does not match the circuit.
-    pub fn exact_fidelity(&self, initial: &StateVector) -> f64 {
+    fn exact_fidelity(&self, initial: &StateVector, cancel: &CancelToken) -> NoiseResult<f64> {
         let ideal = self.ideal.run_sequential(initial.clone());
-        self.evolve(initial).fidelity_with_pure(&ideal)
-    }
-
-    /// The exact *noisy-vs-noisy* fidelity: evolves the same initial state
-    /// through this simulator and through `other`, and compares the two
-    /// mixed outputs with the Uhlmann fidelity
-    /// ([`DensityMatrix::fidelity`], `tr(√(√ρ σ √ρ))²`).
-    ///
-    /// [`DensityNoiseSimulator::exact_fidelity`] compares against a *pure*
-    /// ideal reference, which `fidelity_with_pure` handles; comparing two
-    /// noise models (or two compilations of the same circuit under one
-    /// model) needs the mixed-reference fidelity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state shape does not match either circuit, or the two
-    /// simulators' registers have different shapes.
-    pub fn exact_fidelity_vs(
-        &self,
-        other: &DensityNoiseSimulator<'_>,
-        initial: &StateVector,
-    ) -> f64 {
-        self.evolve(initial).fidelity(&other.evolve(initial))
+        Ok(self.evolve(initial, cancel)?.fidelity_with_pure(&ideal))
     }
 
     /// Draws the initial state for input-sample `i`, consuming the RNG the
@@ -295,55 +144,53 @@ impl<'a> DensityNoiseSimulator<'a> {
         }
     }
 
-    /// Runs the exact simulation for the configured input distribution.
+    /// Runs the exact simulation for the configured input distribution;
+    /// every input's evolution checks `cancel` between frames, and the
+    /// sweep over input draws short-circuits on the first
+    /// [`NoiseError::Cancelled`](crate::NoiseError::Cancelled).
     ///
-    /// For a fixed input ([`InputState::AllOnes`] / [`InputState::Basis`])
-    /// the result is a single deterministic value (`std_error` 0, one
-    /// "trial"). For [`InputState::RandomQubitSubspace`] the exact fidelity
-    /// is averaged over `config.trials` seeded input draws — deterministic
-    /// for a fixed seed, with `std_error` reflecting input variation only
-    /// (the noise itself contributes none).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the input specification is invalid for the
-    /// circuit.
-    pub fn run(&self, config: &TrajectoryConfig) -> NoiseResult<FidelityEstimate> {
-        self.run_cancellable(config, &CancelToken::never())
-    }
-
-    /// Like [`DensityNoiseSimulator::run`], but every input's evolution
-    /// checks `cancel` between frames; the sweep over input draws
-    /// short-circuits on the first [`NoiseError::Cancelled`].
+    /// * A fixed input ([`InputState::AllOnes`] / [`InputState::Basis`])
+    ///   gives a single deterministic value (`std_error` 0, one "trial")
+    ///   at any [`Precision`]: the exact value has no sampling error, so
+    ///   one evolution *is* the answer.
+    /// * [`InputState::RandomQubitSubspace`] averages the exact fidelity
+    ///   over seeded input draws (draw `i` uses `seed + i`, like trajectory
+    ///   trial `i`) — `config.trials` of them at
+    ///   [`Precision::FixedTrials`], or the trajectory engine's chunked
+    ///   early-stopper over draws at [`Precision::TargetSigma`]. The
+    ///   `std_error` reflects input variation only; the noise itself
+    ///   contributes none.
     ///
     /// # Errors
     ///
-    /// [`NoiseError::Cancelled`] once the token trips; otherwise the same
-    /// conditions as [`DensityNoiseSimulator::run`].
-    pub fn run_cancellable(
+    /// [`NoiseError::Cancelled`](crate::NoiseError::Cancelled) once the
+    /// token trips, or an error if the input specification is invalid for
+    /// the circuit.
+    pub fn run(
         &self,
         config: &TrajectoryConfig,
+        precision: &Precision,
         cancel: &CancelToken,
     ) -> NoiseResult<FidelityEstimate> {
-        match &config.input {
-            InputState::RandomQubitSubspace => {
-                let fidelities = self.input_chunk(config, 0..config.trials, cancel)?;
-                Ok(estimate_from_samples(&fidelities))
-            }
-            input => {
-                let initial = self.draw_input(input, config.seed)?;
-                let ideal = self.ideal.run_sequential(initial.clone());
-                // Exact evolution of one fixed input: the value is ground
-                // truth with genuinely zero sampling error, so no binomial
-                // floor applies here.
-                Ok(FidelityEstimate {
-                    mean: self
-                        .evolve_cancellable(&initial, cancel)?
-                        .fidelity_with_pure(&ideal),
-                    std_error: 0.0,
-                    trials: 1,
-                })
-            }
+        if !matches!(config.input, InputState::RandomQubitSubspace) {
+            let initial = self.draw_input(&config.input, config.seed)?;
+            // Exact evolution of one fixed input: the value is ground
+            // truth with genuinely zero sampling error, so no binomial
+            // floor applies here.
+            return Ok(FidelityEstimate {
+                mean: self.exact_fidelity(&initial, cancel)?,
+                std_error: 0.0,
+                trials: 1,
+            });
+        }
+        let chunk = |range| self.input_chunk(config, range, cancel);
+        match *precision {
+            Precision::FixedTrials => Ok(estimate_from_samples(&chunk(0..config.trials)?)),
+            Precision::TargetSigma {
+                sigma,
+                min_trials,
+                max_trials,
+            } => run_until_sigma(sigma, min_trials, max_trials, chunk),
         }
     }
 
@@ -361,92 +208,38 @@ impl<'a> DensityNoiseSimulator<'a> {
             .map(|i| {
                 cancel.check()?;
                 let input = self.draw_input(&config.input, config.seed.wrapping_add(i as u64))?;
-                let ideal = self.ideal.run_sequential(input.clone());
-                Ok(self
-                    .evolve_cancellable(&input, cancel)?
-                    .fidelity_with_pure(&ideal))
+                self.exact_fidelity(&input, cancel)
             })
             .collect()
     }
-
-    /// Runs with the requested [`Precision`], mirroring the trajectory
-    /// engine's adaptive loop where it makes sense:
-    ///
-    /// * [`Precision::FixedTrials`] — exactly
-    ///   [`DensityNoiseSimulator::run_cancellable`].
-    /// * [`Precision::TargetSigma`] with a **deterministic input**
-    ///   ([`InputState::AllOnes`] / [`InputState::Basis`]) — the cheap
-    ///   fixed-cost path: the exact value has no sampling error at all, so
-    ///   one evolution *is* the answer at any requested precision.
-    /// * [`Precision::TargetSigma`] with random inputs — the chunked
-    ///   early-stopper over input draws (the only stochastic axis the
-    ///   exact backend has), Welford-merged like the trajectory loop.
-    ///
-    /// # Errors
-    ///
-    /// [`NoiseError::Cancelled`] once the token trips; otherwise the same
-    /// conditions as [`DensityNoiseSimulator::run`].
-    pub fn run_with_precision(
-        &self,
-        config: &TrajectoryConfig,
-        precision: &Precision,
-        cancel: &CancelToken,
-    ) -> NoiseResult<FidelityEstimate> {
-        let (sigma, min_trials, max_trials) = match *precision {
-            Precision::FixedTrials => return self.run_cancellable(config, cancel),
-            Precision::TargetSigma {
-                sigma,
-                min_trials,
-                max_trials,
-            } => (sigma, min_trials.max(1), max_trials.max(min_trials.max(1))),
-        };
-        if !matches!(config.input, InputState::RandomQubitSubspace) {
-            return self.run_cancellable(config, cancel);
-        }
-        let mut agg = Welford::new();
-        let mut done = 0usize;
-        let mut next = min_trials.min(max_trials);
-        while done < max_trials {
-            let end = (done + next).min(max_trials);
-            let samples = self.input_chunk(config, done..end, cancel)?;
-            let mut chunk = Welford::new();
-            for &f in &samples {
-                chunk.push(f);
-            }
-            agg.merge(&chunk);
-            done = end;
-            if done >= min_trials && agg.estimate().conservative_sigma() <= sigma {
-                break;
-            }
-            next = done;
-        }
-        Ok(agg.estimate())
-    }
-}
-
-/// Convenience entry point: exact fidelity of `circuit` under `model`.
-/// `config.level` selects the accounting: [`PassLevel::Physical`] (default)
-/// simulates the physically lowered circuit, [`PassLevel::NoisePreserving`]
-/// the logical ablation baseline.
-///
-/// # Errors
-///
-/// Returns an error if the model is unphysical for the circuit dimension,
-/// the level does not support noise, or the input specification is invalid.
-pub fn exact_fidelity(
-    circuit: &qudit_circuit::Circuit,
-    model: &NoiseModel,
-    config: &TrajectoryConfig,
-) -> Result<FidelityEstimate, Box<dyn std::error::Error + Send + Sync>> {
-    let sim = DensityNoiseSimulator::with_level(circuit, model, config.level)?;
-    Ok(sim.run(config)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::models::{sc, sc_t1_gates};
+    use crate::{NoiseError, SharedNoiseArtifacts};
+    use qudit_circuit::passes::{self, PassLevel};
     use qudit_circuit::{Circuit, Control, Gate};
+
+    /// The simulator over the physically lowered `circuit`, built the way
+    /// the executor builds it.
+    fn simulator<'a>(circuit: &Circuit, model: &'a NoiseModel) -> DensityNoiseSimulator<'a> {
+        let ir = passes::compile(circuit, PassLevel::Physical);
+        let artifacts = SharedNoiseArtifacts::from_ir(&ir).unwrap();
+        DensityNoiseSimulator::from_artifacts_with(&artifacts, model, &Simulator::new()).unwrap()
+    }
+
+    /// A fixed-count exact run of `circuit`.
+    fn fidelity(
+        circuit: &Circuit,
+        model: &NoiseModel,
+        config: &TrajectoryConfig,
+    ) -> FidelityEstimate {
+        simulator(circuit, model)
+            .run(config, &Precision::FixedTrials, &CancelToken::never())
+            .unwrap()
+    }
 
     fn toffoli_fig4() -> Circuit {
         let mut c = Circuit::new(3, 3);
@@ -477,7 +270,7 @@ mod tests {
             input: InputState::AllOnes,
             ..TrajectoryConfig::default()
         };
-        let est = exact_fidelity(&c, &model, &config).unwrap();
+        let est = fidelity(&c, &model, &config);
         assert!((est.mean - 1.0).abs() < 1e-12);
         assert_eq!(est.std_error, 0.0);
     }
@@ -490,36 +283,23 @@ mod tests {
             input: InputState::AllOnes,
             ..TrajectoryConfig::default()
         };
-        let a = exact_fidelity(&c, &model, &config).unwrap();
-        let b = exact_fidelity(&c, &model, &config).unwrap();
+        let a = fidelity(&c, &model, &config);
+        let b = fidelity(&c, &model, &config);
         assert_eq!(a.mean, b.mean, "exact backend must be deterministic");
         assert!(a.mean > 0.9 && a.mean < 1.0, "fidelity {}", a.mean);
-    }
-
-    #[test]
-    fn noisy_vs_noisy_fidelity_uses_the_uhlmann_form() {
-        let c = toffoli_fig4();
-        let input = StateVector::from_basis_state(3, &[1, 1, 1]).unwrap();
-        let model_a = sc();
-        let model_b = sc_t1_gates();
-        let sim_a = DensityNoiseSimulator::new(&c, &model_a).unwrap();
-        let sim_b = DensityNoiseSimulator::new(&c, &model_b).unwrap();
-        // A simulator against itself is a perfect match.
-        assert!((sim_a.exact_fidelity_vs(&sim_a, &input) - 1.0).abs() < 1e-9);
-        // Two different noise models produce close but distinct mixed
-        // states: high fidelity, strictly below 1, and symmetric.
-        let f_ab = sim_a.exact_fidelity_vs(&sim_b, &input);
-        let f_ba = sim_b.exact_fidelity_vs(&sim_a, &input);
-        assert!(f_ab > 0.5 && f_ab < 1.0 - 1e-9, "{f_ab}");
-        assert!((f_ab - f_ba).abs() < 1e-9);
     }
 
     #[test]
     fn evolved_density_matrix_stays_physical() {
         let c = toffoli_fig4();
         let model = sc();
-        let sim = DensityNoiseSimulator::new(&c, &model).unwrap();
-        let rho = sim.evolve(&StateVector::from_basis_state(3, &[1, 1, 1]).unwrap());
+        let sim = simulator(&c, &model);
+        let rho = sim
+            .evolve(
+                &StateVector::from_basis_state(3, &[1, 1, 1]).unwrap(),
+                &CancelToken::never(),
+            )
+            .unwrap();
         assert!((rho.trace().re - 1.0).abs() < 1e-9);
         assert!(rho.hermiticity_error() < 1e-10);
         assert!(rho.min_population() > -1e-12);
@@ -537,8 +317,13 @@ mod tests {
         )
         .unwrap();
         let model = sc_t1_gates();
-        let sim = DensityNoiseSimulator::new(&c, &model).unwrap();
-        let rho = sim.evolve(&StateVector::from_basis_state(3, &[1, 1, 0]).unwrap());
+        let sim = simulator(&c, &model);
+        let rho = sim
+            .evolve(
+                &StateVector::from_basis_state(3, &[1, 1, 0]).unwrap(),
+                &CancelToken::never(),
+            )
+            .unwrap();
         assert!((rho.trace().re - 1.0).abs() < 1e-9);
         assert!(rho.hermiticity_error() < 1e-10);
         assert!(rho.min_population() > -1e-12);
@@ -548,19 +333,23 @@ mod tests {
     fn a_tripped_token_cancels_the_exact_sweep() {
         let c = toffoli_fig4();
         let model = sc();
-        let sim = DensityNoiseSimulator::new(&c, &model).unwrap();
+        let sim = simulator(&c, &model);
         let token = CancelToken::new();
         token.cancel();
         let config = TrajectoryConfig::default();
-        assert_eq!(
-            sim.run_cancellable(&config, &token),
-            Err(NoiseError::Cancelled)
-        );
-        // And the cancellable path agrees with the plain one when never
-        // cancelled.
-        let plain = sim.run(&config).unwrap();
-        let never = sim.run_cancellable(&config, &CancelToken::never()).unwrap();
-        assert_eq!(plain.mean, never.mean);
+        for precision in [
+            Precision::FixedTrials,
+            Precision::TargetSigma {
+                sigma: 0.01,
+                min_trials: 8,
+                max_trials: 64,
+            },
+        ] {
+            assert_eq!(
+                sim.run(&config, &precision, &token),
+                Err(NoiseError::Cancelled)
+            );
+        }
     }
 
     #[test]
@@ -572,8 +361,8 @@ mod tests {
             seed: 11,
             ..TrajectoryConfig::default()
         };
-        let a = exact_fidelity(&c, &model, &config).unwrap();
-        let b = exact_fidelity(&c, &model, &config).unwrap();
+        let a = fidelity(&c, &model, &config);
+        let b = fidelity(&c, &model, &config);
         assert_eq!(a.mean, b.mean);
         assert_eq!(a.trials, 4);
     }

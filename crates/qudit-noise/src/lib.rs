@@ -4,23 +4,33 @@
 //! and Appendix A of the paper: symmetric depolarizing gate errors for
 //! arbitrary qudit dimension, amplitude-damping (T1) idle errors, the
 //! superconducting (Table 2) and trapped-ion (Table 3) parameter sets, and
-//! two simulation backends behind one [`Backend`] trait:
+//! two simulation engines over one shared noise program:
 //!
-//! * a quantum-trajectory Monte Carlo simulator (Algorithm 1) that
-//!   *estimates* the mean fidelity of a circuit under a noise model, and
-//! * an exact density-matrix simulator that computes the same fidelity as
-//!   ground truth for small registers, with every channel applied as its
-//!   superoperator instead of sampled.
+//! * [`TrajectorySimulator`], a quantum-trajectory Monte Carlo simulator
+//!   (Algorithm 1) that *estimates* the mean fidelity of a circuit under a
+//!   noise model, and
+//! * [`DensityNoiseSimulator`], an exact density-matrix simulator that
+//!   computes the same fidelity as ground truth for small registers, with
+//!   every channel applied as its superoperator instead of sampled.
 //!
-//! [`cross_validate`] checks the two against each other; the integration
-//! tests and the `crossval` bench binary run it on a fixed seed set so
-//! backend drift fails the build.
+//! Both are built one way — from a circuit's [`SharedNoiseArtifacts`]
+//! with `from_artifacts_with` — and run one way, with `run`.
+//! [`CrossValidation`] is the bound the trajectory estimate must land
+//! within around the exact value; the `qudit-api` executor, the
+//! integration tests and the `crossval` bench binary apply it on a fixed
+//! seed set so engine drift fails the build. Jobs normally reach both
+//! engines through `qudit_api::Executor`.
 //!
 //! ## Example
 //!
 //! ```
+//! use qudit_circuit::passes::{self, PassLevel};
 //! use qudit_circuit::{Circuit, Control, Gate};
-//! use qudit_noise::{models, simulate_fidelity, TrajectoryConfig};
+//! use qudit_noise::{
+//!     models, CancelToken, Precision, SharedNoiseArtifacts, TrajectoryConfig,
+//!     TrajectorySimulator,
+//! };
+//! use qudit_sim::Simulator;
 //!
 //! // Figure 4's Toffoli-via-qutrits under the SC+T1+GATES noise model.
 //! let mut c = Circuit::new(3, 3);
@@ -28,8 +38,12 @@
 //! c.push_controlled(Gate::x(3), &[Control::on_two(1)], &[2])?;
 //! c.push_controlled(Gate::decrement(3), &[Control::on_one(0)], &[1])?;
 //!
+//! // The physical pass level charges the Di & Wei-lowered circuit.
+//! let artifacts = SharedNoiseArtifacts::from_ir(&passes::compile(&c, PassLevel::Physical))?;
+//! let model = models::sc_t1_gates();
+//! let sim = TrajectorySimulator::from_artifacts_with(&artifacts, &model, &Simulator::new())?;
 //! let config = TrajectoryConfig { trials: 40, ..TrajectoryConfig::default() };
-//! let estimate = simulate_fidelity(&c, &models::sc_t1_gates(), &config)?;
+//! let estimate = sim.run(&config, &Precision::FixedTrials, &CancelToken::never(), None)?;
 //! assert!(estimate.mean > 0.9);
 //! # Ok::<(), Box<dyn std::error::Error + Send + Sync>>(())
 //! ```
@@ -52,10 +66,7 @@ mod serde_impls;
 mod trajectory;
 
 pub use artifacts::{NoiseArtifactStats, SharedNoiseArtifacts};
-pub use backend::{
-    cross_validate, Backend, BackendKind, CrossValidation, DensityMatrixBackend, SimOutput,
-    TrajectoryBackend,
-};
+pub use backend::{BackendKind, CrossValidation};
 pub use cancel::CancelToken;
 pub use channels::{
     crosstalk_channel, crosstalk_unitary, leakage_channel, overrotation_channel,
@@ -67,10 +78,9 @@ pub use depolarizing::{
     single_qudit_no_error_probability, two_qudit_depolarizing, two_qudit_no_error_probability,
 };
 pub use error::{NoiseError, NoiseResult};
-pub use exact::{exact_fidelity, DensityNoiseSimulator};
+pub use exact::DensityNoiseSimulator;
 pub use kraus::{Channel, CompiledChannel};
 pub use models::NoiseModel;
 pub use trajectory::{
-    simulate_fidelity, FidelityEstimate, InputState, Precision, TrajectoryConfig,
-    TrajectorySimulator, Welford,
+    FidelityEstimate, InputState, Precision, TrajectoryConfig, TrajectorySimulator, Welford,
 };

@@ -32,8 +32,8 @@
 //! 3. applies the idle amplitude-damping error to every qudit for the
 //!    frame's duration.
 //!
-//! The default program ([`NoiseProgram::physical`]) compiles the circuit
-//! through the compiler's [`PassLevel::Physical`] pipeline, which lowers
+//! The default program, built from a circuit compiled through the
+//! compiler's [`PassLevel::Physical`] pipeline, lowers
 //! every ≥3-qudit operation into its exact Di & Wei realisation (6
 //! two-qudit + 7 single-qudit gates, 6 two-qudit layers) — so the error
 //! sites and idle durations *fall out of the lowered circuit*, with no
@@ -48,9 +48,10 @@
 //!
 //! ## The pass-level knob
 //!
-//! Which accounting a simulation uses is selected by the compiler's
-//! [`PassLevel`], threaded through [`TrajectoryConfig::level`] (and, one
-//! layer up, through the `qudit-api` job façade):
+//! Which accounting a simulation uses is the [`PassLevel`] its IR was
+//! compiled at — the IR handed to
+//! [`SharedNoiseArtifacts::from_ir`](crate::SharedNoiseArtifacts::from_ir)
+//! (one layer up, the level of a `qudit-api` job spec):
 //!
 //! * [`PassLevel::Physical`] (default) — the lowered accounting above.
 //! * [`PassLevel::NoisePreserving`] — the *logical* ablation: the circuit
@@ -60,15 +61,12 @@
 //!   the optimistic baseline the paper's ablation compares against.
 //! * The optimizing levels (`Ideal`, `PhysicalIdeal`) change which errors
 //!   would be charged, so noisy runs reject them with a typed error.
-//!
-//! PR 4's deprecated `GateExpansion` virtual-accounting shim is gone; the
-//! differential suite now carries its own oracle.
 
 use crate::cancel::CancelToken;
 use crate::error::{NoiseError, NoiseResult};
 use crate::kraus::{Channel, CompiledChannel};
 use crate::models::NoiseModel;
-use qudit_circuit::passes::{self, CompiledIr, PassLevel};
+use qudit_circuit::passes::{CompiledIr, PassLevel};
 use qudit_circuit::{Circuit, FrameDuration, FrameSchedule, Operation, Topology};
 use qudit_core::{random_qubit_subspace_state, CoreError, StateVector};
 use qudit_sim::{CompiledCircuit, Simulator};
@@ -98,11 +96,6 @@ pub struct TrajectoryConfig {
     pub trials: usize,
     /// Base RNG seed; trial `i` uses `seed + i`.
     pub seed: u64,
-    /// The compiler pass level selecting the noise accounting:
-    /// [`PassLevel::Physical`] (default) simulates the Di & Wei-lowered
-    /// circuit; [`PassLevel::NoisePreserving`] is the logical-granularity
-    /// ablation. Optimizing levels are rejected for noisy runs.
-    pub level: PassLevel,
     /// Input-state distribution.
     pub input: InputState,
 }
@@ -112,7 +105,6 @@ impl Default for TrajectoryConfig {
         TrajectoryConfig {
             trials: 100,
             seed: 2019,
-            level: PassLevel::Physical,
             input: InputState::RandomQubitSubspace,
         }
     }
@@ -301,31 +293,6 @@ pub(crate) struct NoiseProgram {
 }
 
 impl NoiseProgram {
-    /// The default program: the circuit lowered through
-    /// [`PassLevel::Physical`], with one gate error per lowered gate on the
-    /// gate's own qudits and idle durations measured from the lowered frame
-    /// schedule.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NoiseError::Simulation`] if the circuit contains a
-    /// ≥3-qudit operation the decomposition cannot lower (multi-target
-    /// high-arity operations).
-    pub(crate) fn physical(circuit: &Circuit) -> NoiseResult<NoiseProgram> {
-        Self::from_ir(&passes::compile(circuit, PassLevel::Physical))
-    }
-
-    /// The logical-granularity ablation program: the circuit compiled
-    /// through the (identity) [`PassLevel::NoisePreserving`] pipeline, with
-    /// one error per operation on its own qudits (the first two qudits for
-    /// ≥2-qudit operations) and idle durations from the unexpanded
-    /// schedule. This is the optimistic baseline the paper's accounting
-    /// ablation compares against.
-    pub(crate) fn logical(circuit: &Circuit) -> NoiseProgram {
-        let ir = passes::compile(circuit, PassLevel::NoisePreserving);
-        Self::logical_from_ir(&ir)
-    }
-
     /// Builds the program from an already-compiled IR, dispatching on the
     /// level the IR was compiled at: [`PassLevel::Physical`] yields the
     /// lowered accounting, [`PassLevel::NoisePreserving`] the logical
@@ -613,15 +580,15 @@ pub(crate) fn build_noise_sites<T>(
 
 /// A trajectory noise simulator bound to a circuit and a noise model.
 ///
-/// Construction compiles a `NoiseProgram` (physically lowered by
-/// default), compiles the program circuit into per-operation apply plans
-/// ([`CompiledCircuit`]) *and* precompiles every noise channel per
-/// application site (`NoiseSites`); both are shared by every trial, so the
-/// trial loop does no plan building and no per-channel allocation: Kraus
-/// sites sample from a reduced state without cloning it, and the kernels
-/// reuse per-thread scratch. Deterministic inputs (`AllOnes`, `Basis`)
-/// evolve their ideal output once per run instead of once per trial.
-/// Trials already run one per core, so gate application inside a trial is
+/// Built from [`SharedNoiseArtifacts`](crate::SharedNoiseArtifacts): the
+/// noise program, the program circuit compiled into per-operation apply
+/// plans ([`CompiledCircuit`]) and every noise channel precompiled per
+/// application site (`NoiseSites`) are shared by every trial, so the trial
+/// loop does no plan building and no per-channel allocation: Kraus sites
+/// sample from a reduced state without cloning it, and the kernels reuse
+/// per-thread scratch. Deterministic inputs (`AllOnes`, `Basis`) evolve
+/// their ideal output once per chunk instead of once per trial. Trials
+/// already run one per core, so gate application inside a trial is
 /// deliberately sequential — nested fan-out would oversubscribe the
 /// machine.
 pub struct TrajectorySimulator<'a> {
@@ -632,96 +599,12 @@ pub struct TrajectorySimulator<'a> {
 }
 
 impl<'a> TrajectorySimulator<'a> {
-    /// Builds a trajectory simulator on the physically lowered circuit —
-    /// the default accounting.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the model parameters are unphysical for the
-    /// circuit's qudit dimension, or the circuit cannot be lowered.
-    pub fn new(circuit: &Circuit, model: &'a NoiseModel) -> NoiseResult<Self> {
-        Self::from_program(NoiseProgram::physical(circuit)?, model)
-    }
-
-    /// Builds a trajectory simulator on the logical-granularity ablation
-    /// accounting (one error per unlowered operation; the optimistic
-    /// baseline).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the model parameters are unphysical for the
-    /// circuit's qudit dimension.
-    pub fn logical(circuit: &Circuit, model: &'a NoiseModel) -> NoiseResult<Self> {
-        Self::from_program(NoiseProgram::logical(circuit), model)
-    }
-
-    /// Builds the simulator a pass level selects: [`PassLevel::Physical`]
-    /// → the lowered accounting, [`PassLevel::NoisePreserving`] → the
-    /// logical ablation. The single dispatch point behind
-    /// [`simulate_fidelity`] and the [`Backend`](crate::Backend) trait.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NoiseError::UnsupportedLevel`] for the optimizing levels
-    /// (`Ideal`, `PhysicalIdeal`), which change which errors would be
-    /// charged; otherwise the same conditions as
-    /// [`TrajectorySimulator::new`].
-    pub fn with_level(
-        circuit: &Circuit,
-        model: &'a NoiseModel,
-        level: PassLevel,
-    ) -> NoiseResult<Self> {
-        match level {
-            PassLevel::Physical => Self::new(circuit, model),
-            PassLevel::NoisePreserving => Self::logical(circuit, model),
-            level => Err(NoiseError::UnsupportedLevel {
-                level: level.name(),
-            }),
-        }
-    }
-
-    /// Builds the simulator from an already-compiled IR (see
-    /// [`qudit_circuit::passes::compile`]), skipping the pass pipeline: the
-    /// accounting follows the level the IR was compiled at. This is the
-    /// entry point the `qudit-api` executor's structure-keyed job cache
-    /// uses to compile each distinct circuit once per batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NoiseError::UnsupportedLevel`] if the IR was compiled at
-    /// an optimizing level, or an error if the model parameters are
-    /// unphysical for the circuit's qudit dimension.
-    pub fn from_compiled(ir: &CompiledIr, model: &'a NoiseModel) -> NoiseResult<Self> {
-        Self::from_program(NoiseProgram::from_ir(ir)?, model)
-    }
-
-    /// Like [`TrajectorySimulator::from_compiled`], but gate plans compile
-    /// through the caller's [`Simulator`] plan cache, so repeated
-    /// constructions over the same circuit (a batch of jobs differing only
-    /// in noise model or seed) share one plan set instead of each building
-    /// their own.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TrajectorySimulator::from_compiled`].
-    pub fn from_compiled_with(
-        ir: &CompiledIr,
-        model: &'a NoiseModel,
-        planner: &Simulator,
-    ) -> NoiseResult<Self> {
-        Self::from_program_with(NoiseProgram::from_ir(ir)?, model, planner)
-    }
-
-    fn from_program(program: NoiseProgram, model: &'a NoiseModel) -> NoiseResult<Self> {
-        Self::from_program_with(program, model, &Simulator::new())
-    }
-
-    /// Builds the simulator on memoized shared artifacts (see
-    /// [`SharedNoiseArtifacts`](crate::SharedNoiseArtifacts)): the noise
-    /// program, the compiled replay and the per-site channel plans are all
-    /// shared — repeated constructions over the same cached circuit entry
-    /// (a batch of jobs differing only in seed or trial count) build
-    /// nothing at all.
+    /// Builds the simulator on memoized shared artifacts: the noise
+    /// program, the compiled replay (through `planner`'s plan cache) and
+    /// the per-site channel plans are all shared — repeated constructions
+    /// over the same artifacts (a batch of jobs differing only in seed or
+    /// trial count) build nothing at all. The accounting follows the level
+    /// the artifacts' IR was compiled at.
     ///
     /// # Errors
     ///
@@ -736,26 +619,6 @@ impl<'a> TrajectorySimulator<'a> {
             compiled: artifacts.ideal(planner),
             model,
             channels: artifacts.trajectory_sites(model)?,
-        })
-    }
-
-    fn from_program_with(
-        program: NoiseProgram,
-        model: &'a NoiseModel,
-        planner: &Simulator,
-    ) -> NoiseResult<Self> {
-        let d = program.circuit.dim();
-        let n = program.circuit.width();
-        let channels = build_noise_sites(&program, model, |c, qudits| c.compile(d, n, qudits))?;
-        Ok(TrajectorySimulator {
-            // Compile through a Simulator so structurally equal gates (the
-            // mirrored compute/uncompute halves, the repeated Di & Wei
-            // block gates) share one plan instead of each building their
-            // own — and, with a caller-held planner, across simulators.
-            compiled: Arc::new(planner.compile(&program.circuit)),
-            program: Arc::new(program),
-            model,
-            channels: Arc::new(channels),
         })
     }
 
@@ -808,15 +671,10 @@ impl<'a> TrajectorySimulator<'a> {
         }
     }
 
-    /// Like [`TrajectorySimulator::run_trial`], but checks `cancel` before
-    /// the trial and between frames, so an expired deadline stops the
+    /// [`TrajectorySimulator::run_trial`] checking `cancel` before the
+    /// trial and between frames, so an expired deadline stops the
     /// simulation mid-circuit instead of after it.
-    ///
-    /// # Errors
-    ///
-    /// [`NoiseError::Cancelled`] once the token trips; otherwise the same
-    /// conditions as [`TrajectorySimulator::run_trial`].
-    pub fn run_trial_cancellable(
+    fn run_trial_cancellable(
         &self,
         input: &InputState,
         seed: u64,
@@ -872,34 +730,6 @@ impl<'a> TrajectorySimulator<'a> {
         Ok(ideal.fidelity(&noisy))
     }
 
-    /// Runs `config.trials` trajectory trials (in parallel) and aggregates a
-    /// fidelity estimate.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the input specification is invalid for the
-    /// circuit.
-    pub fn run(&self, config: &TrajectoryConfig) -> NoiseResult<FidelityEstimate> {
-        self.run_cancellable(config, &CancelToken::never())
-    }
-
-    /// Like [`TrajectorySimulator::run`], but every trial checks `cancel`
-    /// between frames; parallel workers short-circuit on the first
-    /// [`NoiseError::Cancelled`].
-    ///
-    /// # Errors
-    ///
-    /// [`NoiseError::Cancelled`] once the token trips; otherwise the same
-    /// conditions as [`TrajectorySimulator::run`].
-    pub fn run_cancellable(
-        &self,
-        config: &TrajectoryConfig,
-        cancel: &CancelToken,
-    ) -> NoiseResult<FidelityEstimate> {
-        let fidelities = self.trial_chunk(config, 0..config.trials, cancel)?;
-        Ok(estimate_from_samples(&fidelities))
-    }
-
     /// Runs the trials of one index range in parallel, in index order:
     /// trial `i` uses `seed + i`, so any range's fidelities are exactly the
     /// corresponding slice of a full run's per-trial stream. A
@@ -937,91 +767,47 @@ impl<'a> TrajectorySimulator<'a> {
             .collect()
     }
 
-    /// Runs with the requested [`Precision`]: [`Precision::FixedTrials`]
-    /// is exactly [`TrajectorySimulator::run_cancellable`] (bit-identical
-    /// aggregation included); [`Precision::TargetSigma`] runs the chunked
-    /// sequential early-stopper — see [`run_traced`](Self::run_traced) for
-    /// the loop's contract.
+    /// Runs the simulation at the requested [`Precision`] and aggregates a
+    /// fidelity estimate; every trial checks `cancel` between frames, and
+    /// the parallel workers short-circuit on the first
+    /// [`NoiseError::Cancelled`].
+    ///
+    /// * [`Precision::FixedTrials`] runs `config.trials` trials in
+    ///   parallel.
+    /// * [`Precision::TargetSigma`] runs the chunked sequential
+    ///   early-stopper. Trial `i` still uses `seed + i`, so the stream it
+    ///   consumes is exactly a prefix of the fixed-count run's.
+    ///
+    /// When `trace` is given, the per-trial fidelities the run consumed are
+    /// appended to it in trial order — the diagnostic surface the
+    /// prefix-determinism tests compare bit for bit.
     ///
     /// # Errors
     ///
-    /// [`NoiseError::Cancelled`] once the token trips; otherwise the same
-    /// conditions as [`TrajectorySimulator::run`].
-    pub fn run_with_precision(
-        &self,
-        config: &TrajectoryConfig,
-        precision: &Precision,
-        cancel: &CancelToken,
-    ) -> NoiseResult<FidelityEstimate> {
-        self.run_precision_impl(config, precision, cancel, None)
-    }
-
-    /// Like [`TrajectorySimulator::run_with_precision`], but also returns
-    /// the per-trial fidelity stream the run actually consumed, in trial
-    /// order — the diagnostic surface the prefix-determinism tests compare
-    /// bit-for-bit: an early-stopped run's stream is exactly the first
-    /// `trials` entries of a fixed-count run's stream for the same seed.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TrajectorySimulator::run_with_precision`].
-    pub fn run_traced(
-        &self,
-        config: &TrajectoryConfig,
-        precision: &Precision,
-        cancel: &CancelToken,
-    ) -> NoiseResult<(FidelityEstimate, Vec<f64>)> {
-        let mut trace = Vec::new();
-        let estimate = self.run_precision_impl(config, precision, cancel, Some(&mut trace))?;
-        Ok((estimate, trace))
-    }
-
-    fn run_precision_impl(
+    /// [`NoiseError::Cancelled`] once the token trips, or an error if the
+    /// input specification is invalid for the circuit.
+    pub fn run(
         &self,
         config: &TrajectoryConfig,
         precision: &Precision,
         cancel: &CancelToken,
         mut trace: Option<&mut Vec<f64>>,
     ) -> NoiseResult<FidelityEstimate> {
-        let (sigma, min_trials, max_trials) = match *precision {
-            Precision::FixedTrials => {
-                let samples = self.trial_chunk(config, 0..config.trials, cancel)?;
-                let estimate = estimate_from_samples(&samples);
-                if let Some(trace) = trace {
-                    *trace = samples;
-                }
-                return Ok(estimate);
+        let mut chunk = |range: std::ops::Range<usize>| -> NoiseResult<Vec<f64>> {
+            let samples = self.trial_chunk(config, range, cancel)?;
+            if let Some(trace) = trace.as_deref_mut() {
+                trace.extend_from_slice(&samples);
             }
+            Ok(samples)
+        };
+        match *precision {
+            Precision::FixedTrials => Ok(estimate_from_samples(&chunk(0..config.trials)?)),
             Precision::TargetSigma {
                 sigma,
                 min_trials,
                 max_trials,
-            } => (sigma, min_trials.max(1), max_trials.max(min_trials.max(1))),
-        };
-        let mut agg = Welford::new();
-        let mut done = 0usize;
-        // First chunk covers min_trials; afterwards the total doubles per
-        // round (bounding overshoot past the optimal stopping point to
-        // 2×), capped so one round stays a responsive unit of work.
-        let mut next = min_trials.min(max_trials);
-        while done < max_trials {
-            let end = (done + next).min(max_trials);
-            let samples = self.trial_chunk(config, done..end, cancel)?;
-            let mut chunk = Welford::new();
-            for &f in &samples {
-                chunk.push(f);
-            }
-            agg.merge(&chunk);
-            if let Some(trace) = trace.as_deref_mut() {
-                trace.extend_from_slice(&samples);
-            }
-            done = end;
-            if done >= min_trials && agg.estimate().conservative_sigma() <= sigma {
-                break;
-            }
-            next = done.min(MAX_ADAPTIVE_CHUNK);
+            } => run_until_sigma(sigma, min_trials, max_trials, chunk),
         }
-        Ok(agg.estimate())
     }
 }
 
@@ -1030,22 +816,39 @@ impl<'a> TrajectorySimulator<'a> {
 /// look-in at a bounded cadence even when the target needs many trials.
 const MAX_ADAPTIVE_CHUNK: usize = 4096;
 
-/// Convenience entry point: simulate `circuit` under `model` with the given
-/// configuration. `config.level` selects the accounting:
-/// [`PassLevel::Physical`] (default) simulates the physically lowered
-/// circuit, [`PassLevel::NoisePreserving`] the logical ablation baseline.
-///
-/// # Errors
-///
-/// Returns an error if the model is unphysical for the circuit dimension,
-/// the level does not support noise, or the input specification is invalid.
-pub fn simulate_fidelity(
-    circuit: &Circuit,
-    model: &NoiseModel,
-    config: &TrajectoryConfig,
-) -> Result<FidelityEstimate, Box<dyn std::error::Error + Send + Sync>> {
-    let sim = TrajectorySimulator::with_level(circuit, model, config.level)?;
-    Ok(sim.run(config)?)
+/// The sequential early-stopper behind [`Precision::TargetSigma`], shared
+/// by both engines: `chunk` evaluates the samples of one index range, in
+/// index order, and the loop Welford-merges them until the conservative
+/// error bar drops to `sigma` — after at least `min_trials` (≥ 1) and at
+/// most `max_trials` samples. The first chunk covers `min_trials`;
+/// afterwards the total doubles per round (bounding the overshoot past the
+/// optimal stopping point to 2×), with each chunk capped at
+/// [`MAX_ADAPTIVE_CHUNK`] so one round stays a responsive unit of work.
+pub(crate) fn run_until_sigma(
+    sigma: f64,
+    min_trials: usize,
+    max_trials: usize,
+    mut chunk: impl FnMut(std::ops::Range<usize>) -> NoiseResult<Vec<f64>>,
+) -> NoiseResult<FidelityEstimate> {
+    let min_trials = min_trials.max(1);
+    let max_trials = max_trials.max(min_trials);
+    let mut agg = Welford::new();
+    let mut done = 0usize;
+    let mut next = min_trials;
+    while done < max_trials {
+        let end = (done + next).min(max_trials);
+        let mut samples = Welford::new();
+        for f in chunk(done..end)? {
+            samples.push(f);
+        }
+        agg.merge(&samples);
+        done = end;
+        if done >= min_trials && agg.estimate().conservative_sigma() <= sigma {
+            break;
+        }
+        next = done.min(MAX_ADAPTIVE_CHUNK);
+    }
+    Ok(agg.estimate())
 }
 
 pub(crate) fn estimate_from_samples(samples: &[f64]) -> FidelityEstimate {
@@ -1077,7 +880,45 @@ pub(crate) fn estimate_from_samples(samples: &[f64]) -> FidelityEstimate {
 mod tests {
     use super::*;
     use crate::models::{sc, sc_t1_gates};
-    use qudit_circuit::{Control, Gate};
+    use crate::SharedNoiseArtifacts;
+    use qudit_circuit::passes;
+    use qudit_circuit::{Circuit, Control, Gate};
+
+    /// The simulator over `circuit` compiled at `level`, built the way the
+    /// executor builds it.
+    fn simulator<'a>(
+        circuit: &Circuit,
+        model: &'a NoiseModel,
+        level: PassLevel,
+    ) -> TrajectorySimulator<'a> {
+        let artifacts = SharedNoiseArtifacts::from_ir(&passes::compile(circuit, level)).unwrap();
+        TrajectorySimulator::from_artifacts_with(&artifacts, model, &Simulator::new()).unwrap()
+    }
+
+    /// A fixed-count run of `circuit` compiled at `level`.
+    fn fidelity(
+        circuit: &Circuit,
+        model: &NoiseModel,
+        config: &TrajectoryConfig,
+        level: PassLevel,
+    ) -> FidelityEstimate {
+        simulator(circuit, model, level)
+            .run(config, &Precision::FixedTrials, &CancelToken::never(), None)
+            .unwrap()
+    }
+
+    /// `run`'s estimate together with the per-trial stream it consumed.
+    fn traced(
+        sim: &TrajectorySimulator<'_>,
+        config: &TrajectoryConfig,
+        precision: &Precision,
+    ) -> (FidelityEstimate, Vec<f64>) {
+        let mut stream = Vec::new();
+        let estimate = sim
+            .run(config, precision, &CancelToken::never(), Some(&mut stream))
+            .unwrap();
+        (estimate, stream)
+    }
 
     fn toffoli_fig4() -> Circuit {
         let mut c = Circuit::new(3, 3);
@@ -1112,7 +953,7 @@ mod tests {
             trials: 5,
             ..TrajectoryConfig::default()
         };
-        let est = simulate_fidelity(&c, &model, &config).unwrap();
+        let est = fidelity(&c, &model, &config, PassLevel::Physical);
         assert!((est.mean - 1.0).abs() < 1e-9, "mean {}", est.mean);
         assert!(est.std_error < 1e-9);
     }
@@ -1132,7 +973,7 @@ mod tests {
             trials: 5,
             ..TrajectoryConfig::default()
         };
-        let est = simulate_fidelity(&c, &noiseless_model(), &config).unwrap();
+        let est = fidelity(&c, &noiseless_model(), &config, PassLevel::Physical);
         assert!((est.mean - 1.0).abs() < 1e-9, "mean {}", est.mean);
     }
 
@@ -1145,7 +986,7 @@ mod tests {
             seed: 7,
             ..TrajectoryConfig::default()
         };
-        let est = simulate_fidelity(&c, &model, &config).unwrap();
+        let est = fidelity(&c, &model, &config, PassLevel::Physical);
         assert!(est.mean <= 1.0 + 1e-12);
         assert!(est.mean >= 0.0);
         // A 3-qutrit circuit under the SC model should still be quite good.
@@ -1171,8 +1012,8 @@ mod tests {
             overrotation: None,
             crosstalk: None,
         };
-        let worse = simulate_fidelity(&c, &bad, &config).unwrap();
-        let better = simulate_fidelity(&c, &sc_t1_gates(), &config).unwrap();
+        let worse = fidelity(&c, &bad, &config, PassLevel::Physical);
+        let better = fidelity(&c, &sc_t1_gates(), &config, PassLevel::Physical);
         assert!(
             better.mean > worse.mean,
             "better {} vs worse {}",
@@ -1185,7 +1026,7 @@ mod tests {
     fn all_ones_input_is_deterministic_per_seed() {
         let c = toffoli_fig4();
         let model = sc();
-        let sim = TrajectorySimulator::new(&c, &model).unwrap();
+        let sim = simulator(&c, &model, PassLevel::Physical);
         let f1 = sim.run_trial(&InputState::AllOnes, 99).unwrap();
         let f2 = sim.run_trial(&InputState::AllOnes, 99).unwrap();
         assert_eq!(f1, f2);
@@ -1195,21 +1036,26 @@ mod tests {
     fn a_tripped_token_cancels_the_run() {
         let c = toffoli_fig4();
         let model = sc();
-        let sim = TrajectorySimulator::new(&c, &model).unwrap();
+        let sim = simulator(&c, &model, PassLevel::Physical);
         let config = TrajectoryConfig {
             trials: 64,
             ..TrajectoryConfig::default()
         };
         let token = CancelToken::new();
         token.cancel();
-        assert_eq!(
-            sim.run_cancellable(&config, &token),
-            Err(NoiseError::Cancelled)
-        );
-        // The never token leaves results identical to the plain entry point.
-        let plain = sim.run(&config).unwrap();
-        let never = sim.run_cancellable(&config, &CancelToken::never()).unwrap();
-        assert_eq!(plain.mean, never.mean);
+        for precision in [
+            Precision::FixedTrials,
+            Precision::TargetSigma {
+                sigma: 0.01,
+                min_trials: 8,
+                max_trials: 64,
+            },
+        ] {
+            assert_eq!(
+                sim.run(&config, &precision, &token, None),
+                Err(NoiseError::Cancelled)
+            );
+        }
     }
 
     #[test]
@@ -1235,22 +1081,13 @@ mod tests {
             overrotation: None,
             crosstalk: None,
         };
-        let config_base = TrajectoryConfig {
+        let config = TrajectoryConfig {
             trials: 60,
             seed: 5,
-            level: PassLevel::NoisePreserving,
             input: InputState::AllOnes,
         };
-        let logical = simulate_fidelity(&c, &model, &config_base).unwrap();
-        let physical = simulate_fidelity(
-            &c,
-            &model,
-            &TrajectoryConfig {
-                level: PassLevel::Physical,
-                ..config_base
-            },
-        )
-        .unwrap();
+        let logical = fidelity(&c, &model, &config, PassLevel::NoisePreserving);
+        let physical = fidelity(&c, &model, &config, PassLevel::Physical);
         assert!(
             physical.mean < logical.mean,
             "physical {} should be below logical {}",
@@ -1262,9 +1099,8 @@ mod tests {
     #[test]
     fn optimizing_levels_are_rejected_for_noisy_runs() {
         let c = toffoli_fig4();
-        let model = sc();
         for level in [PassLevel::Ideal, PassLevel::PhysicalIdeal] {
-            match TrajectorySimulator::with_level(&c, &model, level) {
+            match SharedNoiseArtifacts::from_ir(&passes::compile(&c, level)) {
                 Err(NoiseError::UnsupportedLevel { .. }) => {}
                 Err(other) => panic!("wrong error: {other}"),
                 Ok(_) => panic!("{} must be rejected for noisy runs", level.name()),
@@ -1281,7 +1117,7 @@ mod tests {
             &[2],
         )
         .unwrap();
-        let program = NoiseProgram::physical(&c).unwrap();
+        let program = NoiseProgram::from_ir(&passes::compile(&c, PassLevel::Physical)).unwrap();
         assert_eq!(program.circuit.len(), 13, "6 two-qudit + 7 single-qudit");
         let pairs = program
             .sites
@@ -1311,7 +1147,8 @@ mod tests {
         )
         .unwrap();
         c.push_gate(Gate::h(3), &[0]).unwrap();
-        let program = NoiseProgram::logical(&c);
+        let program =
+            NoiseProgram::from_ir(&passes::compile(&c, PassLevel::NoisePreserving)).unwrap();
         assert_eq!(program.circuit.len(), 2, "no lowering at the logical level");
         assert_eq!(program.sites[0], vec![ErrorSite::Pair([0, 1])]);
         assert_eq!(program.sites[1], vec![ErrorSite::Single(0)]);
@@ -1421,14 +1258,12 @@ mod tests {
             circuit.push_gate(Gate::h(3), &[q]).unwrap();
         }
         circuit.extend(&toffoli_fig4()).unwrap();
-        let sim = TrajectorySimulator::new(&circuit, &model).unwrap();
-        let token = CancelToken::never();
+        let sim = simulator(&circuit, &model, PassLevel::Physical);
         for input in [InputState::AllOnes, InputState::Basis(vec![1, 0, 1])] {
             let config = TrajectoryConfig {
                 trials: 40,
                 seed: 17,
                 input: input.clone(),
-                ..TrajectoryConfig::default()
             };
             let adaptive = Precision::TargetSigma {
                 sigma: 0.0,
@@ -1436,7 +1271,7 @@ mod tests {
                 max_trials: 40,
             };
             for precision in [Precision::FixedTrials, adaptive] {
-                let (_, stream) = sim.run_traced(&config, &precision, &token).unwrap();
+                let (_, stream) = traced(&sim, &config, &precision);
                 assert_eq!(stream.len(), 40);
                 let distinct: std::collections::HashSet<u64> =
                     stream.iter().map(|f| f.to_bits()).collect();
@@ -1455,32 +1290,75 @@ mod tests {
     #[test]
     fn invalid_basis_input_is_an_error_not_a_panic() {
         let model = sc();
-        let sim = TrajectorySimulator::new(&toffoli_fig4(), &model).unwrap();
+        let sim = simulator(&toffoli_fig4(), &model, PassLevel::Physical);
         let config = TrajectoryConfig {
             input: InputState::Basis(vec![1, 0, 5]),
             ..TrajectoryConfig::default()
         };
-        assert!(sim.run(&config).is_err());
+        for precision in [
+            Precision::FixedTrials,
+            Precision::TargetSigma {
+                sigma: 0.01,
+                min_trials: 8,
+                max_trials: 64,
+            },
+        ] {
+            assert!(sim
+                .run(&config, &precision, &CancelToken::never(), None)
+                .is_err());
+        }
     }
 
     #[test]
-    fn fixed_trials_precision_is_bit_identical_to_run_cancellable() {
+    fn fixed_trials_run_aggregates_the_standalone_trial_stream() {
         let c = toffoli_fig4();
         let model = sc();
-        let sim = TrajectorySimulator::new(&c, &model).unwrap();
+        let sim = simulator(&c, &model, PassLevel::Physical);
         let config = TrajectoryConfig {
             trials: 24,
             seed: 3,
             ..TrajectoryConfig::default()
         };
-        let token = CancelToken::never();
-        let fixed = sim.run_cancellable(&config, &token).unwrap();
-        let via_precision = sim
-            .run_with_precision(&config, &Precision::FixedTrials, &token)
+        let stream: Vec<f64> = (0..24)
+            .map(|i| sim.run_trial(&config.input, 3 + i).unwrap())
+            .collect();
+        let expected = estimate_from_samples(&stream);
+        let fixed = sim
+            .run(
+                &config,
+                &Precision::FixedTrials,
+                &CancelToken::never(),
+                None,
+            )
             .unwrap();
-        assert_eq!(fixed.mean.to_bits(), via_precision.mean.to_bits());
-        assert_eq!(fixed.std_error.to_bits(), via_precision.std_error.to_bits());
-        assert_eq!(fixed.trials, via_precision.trials);
+        assert_eq!(fixed.mean.to_bits(), expected.mean.to_bits());
+        assert_eq!(fixed.std_error.to_bits(), expected.std_error.to_bits());
+        assert_eq!(fixed.trials, expected.trials);
+    }
+
+    #[test]
+    fn adaptive_loop_doubles_then_caps_its_chunks() {
+        // σ = 0 is never met, so the loop walks its whole schedule: the
+        // total doubles from min_trials until a chunk reaches the cap,
+        // then every chunk is MAX_ADAPTIVE_CHUNK wide up to max_trials.
+        let mut ranges = Vec::new();
+        let est = run_until_sigma(0.0, 16, 20_000, |range| {
+            ranges.push(range.clone());
+            Ok(range.map(|i| (i % 2) as f64).collect())
+        })
+        .unwrap();
+        let mut expected = Vec::new();
+        let (mut start, mut end) = (0, 16);
+        while end <= 4096 {
+            expected.push(start..end);
+            (start, end) = (end, 2 * end);
+        }
+        for start in [4096, 8192, 12288] {
+            expected.push(start..start + MAX_ADAPTIVE_CHUNK);
+        }
+        expected.push(16384..20_000);
+        assert_eq!(ranges, expected);
+        assert_eq!(est.trials, 20_000);
     }
 
     #[test]
@@ -1490,7 +1368,7 @@ mod tests {
         // At σ = 0.05 the rule-of-three floor 3/n forces n ≥ 60 trials.
         let c = toffoli_fig4();
         let model = noiseless_model();
-        let sim = TrajectorySimulator::new(&c, &model).unwrap();
+        let sim = simulator(&c, &model, PassLevel::Physical);
         let config = TrajectoryConfig {
             trials: 10_000,
             ..TrajectoryConfig::default()
@@ -1501,7 +1379,7 @@ mod tests {
             max_trials: 4096,
         };
         let est = sim
-            .run_with_precision(&config, &precision, &CancelToken::never())
+            .run(&config, &precision, &CancelToken::never(), None)
             .unwrap();
         assert!(est.trials >= 60, "stopped at {} trials", est.trials);
         assert!(est.conservative_sigma() <= 0.05);
@@ -1512,7 +1390,7 @@ mod tests {
     fn adaptive_run_respects_the_trial_bounds() {
         let c = toffoli_fig4();
         let model = sc();
-        let sim = TrajectorySimulator::new(&c, &model).unwrap();
+        let sim = simulator(&c, &model, PassLevel::Physical);
         let config = TrajectoryConfig {
             trials: 10_000,
             seed: 13,
@@ -1520,7 +1398,7 @@ mod tests {
         };
         // An unreachable target pins the run to max_trials.
         let capped = sim
-            .run_with_precision(
+            .run(
                 &config,
                 &Precision::TargetSigma {
                     sigma: 1e-9,
@@ -1528,12 +1406,13 @@ mod tests {
                     max_trials: 40,
                 },
                 &CancelToken::never(),
+                None,
             )
             .unwrap();
         assert_eq!(capped.trials, 40);
         // A trivially loose target still honours min_trials.
         let floored = sim
-            .run_with_precision(
+            .run(
                 &config,
                 &Precision::TargetSigma {
                     sigma: 0.9,
@@ -1541,6 +1420,7 @@ mod tests {
                     max_trials: 4096,
                 },
                 &CancelToken::never(),
+                None,
             )
             .unwrap();
         assert!(floored.trials >= 16, "ran {} trials", floored.trials);
@@ -1550,27 +1430,22 @@ mod tests {
     fn traced_adaptive_stream_is_a_prefix_of_the_fixed_run() {
         let c = toffoli_fig4();
         let model = sc();
-        let sim = TrajectorySimulator::new(&c, &model).unwrap();
+        let sim = simulator(&c, &model, PassLevel::Physical);
         let config = TrajectoryConfig {
             trials: 512,
             seed: 21,
             ..TrajectoryConfig::default()
         };
-        let token = CancelToken::never();
-        let (_, fixed_stream) = sim
-            .run_traced(&config, &Precision::FixedTrials, &token)
-            .unwrap();
-        let (est, adaptive_stream) = sim
-            .run_traced(
-                &config,
-                &Precision::TargetSigma {
-                    sigma: 0.02,
-                    min_trials: 8,
-                    max_trials: 512,
-                },
-                &token,
-            )
-            .unwrap();
+        let (_, fixed_stream) = traced(&sim, &config, &Precision::FixedTrials);
+        let (est, adaptive_stream) = traced(
+            &sim,
+            &config,
+            &Precision::TargetSigma {
+                sigma: 0.02,
+                min_trials: 8,
+                max_trials: 512,
+            },
+        );
         assert_eq!(est.trials, adaptive_stream.len());
         assert!(adaptive_stream.len() <= fixed_stream.len());
         for (i, (a, f)) in adaptive_stream.iter().zip(&fixed_stream).enumerate() {

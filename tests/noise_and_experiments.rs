@@ -9,14 +9,38 @@
 //! to be widened to ~100 trials to stop being coin flips under RNG-stream
 //! changes.)
 
+use qudit_api::{BackendKind, Executor, JobSpec};
+use qudit_circuit::passes::{self, PassLevel};
+use qudit_circuit::Circuit;
 use qudit_noise::{
-    exact_fidelity, lambda_m, models, qutrit_two_qudit_reliability_ratio, CancelToken, InputState,
-    Precision, TrajectoryConfig, TrajectorySimulator,
+    lambda_m, models, qutrit_two_qudit_reliability_ratio, CancelToken, DensityNoiseSimulator,
+    InputState, NoiseModel, Precision, SharedNoiseArtifacts, TrajectoryConfig, TrajectorySimulator,
 };
 use qudit_sim::kernel::SimdLevel;
+use qudit_sim::Simulator;
 use qutrit_toffoli::baselines::{qubit_no_ancilla, qubit_one_dirty_ancilla};
 use qutrit_toffoli::cost::{paper_depth_model, paper_two_qudit_gate_model, Construction};
 use qutrit_toffoli::gen_toffoli::n_controlled_x;
+
+/// The exact-backend fidelity of `circuit` under `model` on the all-|1⟩
+/// input, at the default physical accounting.
+fn exact_all_ones(executor: &Executor, circuit: Circuit, model: &NoiseModel, seed: u64) -> f64 {
+    let spec = JobSpec::builder(circuit)
+        .noise(model.clone())
+        .backend(BackendKind::DensityMatrix)
+        .trials(1)
+        .seed(seed)
+        .input(InputState::AllOnes)
+        .build()
+        .unwrap();
+    executor.run(&spec).unwrap().fidelity().unwrap().mean
+}
+
+/// The noise artifacts of `circuit` at the physical accounting, built the
+/// way the executor builds them.
+fn physical_artifacts(circuit: &Circuit) -> SharedNoiseArtifacts {
+    SharedNoiseArtifacts::from_ir(&passes::compile(circuit, PassLevel::Physical)).unwrap()
+}
 
 #[test]
 fn all_paper_noise_models_produce_valid_channels() {
@@ -63,23 +87,12 @@ fn figure11_ordering_holds_exactly_at_reduced_size() {
     // all-|1⟩ input), not Monte Carlo samples, so no trial count or RNG
     // stream can flip the assertion.
     let n = 4;
-    let config = TrajectoryConfig {
-        trials: 1,
-        seed: 7,
-        input: InputState::AllOnes,
-        ..TrajectoryConfig::default()
-    };
     let model = models::sc();
+    let executor = Executor::new();
 
-    let qutrit = exact_fidelity(&n_controlled_x(n).unwrap(), &model, &config)
-        .unwrap()
-        .mean;
-    let qubit = exact_fidelity(&qubit_no_ancilla(n, 2).unwrap(), &model, &config)
-        .unwrap()
-        .mean;
-    let ancilla = exact_fidelity(&qubit_one_dirty_ancilla(n, 2).unwrap(), &model, &config)
-        .unwrap()
-        .mean;
+    let qutrit = exact_all_ones(&executor, n_controlled_x(n).unwrap(), &model, 7);
+    let qubit = exact_all_ones(&executor, qubit_no_ancilla(n, 2).unwrap(), &model, 7);
+    let ancilla = exact_all_ones(&executor, qubit_one_dirty_ancilla(n, 2).unwrap(), &model, 7);
 
     assert!(
         qutrit > ancilla && ancilla > qubit,
@@ -97,19 +110,10 @@ fn trapped_ion_qutrit_models_favour_the_dressed_qutrit_exactly() {
     // a strictly higher ground-truth fidelity than BARE_QUTRIT — no
     // tolerance band needed once sampling noise is out of the comparison.
     let n = 4;
-    let config = TrajectoryConfig {
-        trials: 1,
-        seed: 3,
-        input: InputState::AllOnes,
-        ..TrajectoryConfig::default()
-    };
     let circuit = n_controlled_x(n).unwrap();
-    let bare = exact_fidelity(&circuit, &models::bare_qutrit(), &config)
-        .unwrap()
-        .mean;
-    let dressed = exact_fidelity(&circuit, &models::dressed_qutrit(), &config)
-        .unwrap()
-        .mean;
+    let executor = Executor::new();
+    let bare = exact_all_ones(&executor, circuit.clone(), &models::bare_qutrit(), 3);
+    let dressed = exact_all_ones(&executor, circuit, &models::dressed_qutrit(), 3);
     assert!(
         dressed > bare,
         "dressed ({dressed:.6}) must beat bare ({bare:.6}) exactly"
@@ -178,12 +182,19 @@ fn trajectory_trial_streams_are_pinned_bit_for_bit() {
         trials: 64,
         seed: 1111,
         input: InputState::RandomQubitSubspace,
-        ..TrajectoryConfig::default()
     };
     for (label, circuit, model, expected) in cases {
-        let sim = TrajectorySimulator::new(&circuit, &model).unwrap();
-        let (estimate, stream) = sim
-            .run_traced(&config, &Precision::FixedTrials, &CancelToken::never())
+        let artifacts = physical_artifacts(&circuit);
+        let sim = TrajectorySimulator::from_artifacts_with(&artifacts, &model, &Simulator::new())
+            .unwrap();
+        let mut stream = Vec::new();
+        let estimate = sim
+            .run(
+                &config,
+                &Precision::FixedTrials,
+                &CancelToken::never(),
+                Some(&mut stream),
+            )
             .unwrap();
         assert_eq!(estimate.trials, 64);
         let sum: f64 = stream.iter().sum();
@@ -193,5 +204,68 @@ fn trajectory_trial_streams_are_pinned_bit_for_bit() {
             "{label}: stream sum {sum} ({:#018x})",
             sum.to_bits()
         );
+    }
+}
+
+#[test]
+fn executor_runs_match_the_artifact_path_bit_for_bit() {
+    // The executor and the per-layer probes reach the engines two ways:
+    // `Executor::run` on a spec, and `from_artifacts_with(..).run(..)` over
+    // artifacts compiled by hand. Both must give the same estimate to the
+    // bit, on each backend, at fixed and adaptive precision.
+    let circuit = n_controlled_x(2).unwrap();
+    let model = models::sc_t1_gates();
+    let artifacts = physical_artifacts(&circuit);
+    let planner = Simulator::new();
+    let never = CancelToken::never();
+    let config = TrajectoryConfig {
+        trials: 64,
+        seed: 2019,
+        input: InputState::RandomQubitSubspace,
+    };
+    let adaptive = Precision::TargetSigma {
+        sigma: 0.03,
+        min_trials: 8,
+        max_trials: 512,
+    };
+    let executor = Executor::new();
+    for backend in [BackendKind::Trajectory, BackendKind::DensityMatrix] {
+        for precision in [Precision::FixedTrials, adaptive] {
+            let spec = JobSpec::builder(circuit.clone())
+                .noise(model.clone())
+                .backend(backend)
+                .trials(config.trials)
+                .seed(config.seed)
+                .input(config.input.clone())
+                .precision(precision)
+                .build()
+                .unwrap();
+            let via_executor = *executor.run(&spec).unwrap().fidelity().unwrap();
+            let direct = match backend {
+                BackendKind::Trajectory => {
+                    TrajectorySimulator::from_artifacts_with(&artifacts, &model, &planner)
+                        .unwrap()
+                        .run(&config, &precision, &never, None)
+                }
+                BackendKind::DensityMatrix => {
+                    DensityNoiseSimulator::from_artifacts_with(&artifacts, &model, &planner)
+                        .unwrap()
+                        .run(&config, &precision, &never)
+                }
+            }
+            .unwrap();
+            let label = format!("{} {precision:?}", backend.name());
+            assert_eq!(via_executor.trials, direct.trials, "{label}");
+            assert_eq!(
+                via_executor.mean.to_bits(),
+                direct.mean.to_bits(),
+                "{label}"
+            );
+            assert_eq!(
+                via_executor.std_error.to_bits(),
+                direct.std_error.to_bits(),
+                "{label}"
+            );
+        }
     }
 }
