@@ -5,6 +5,7 @@ use crate::result::{ExecutionResult, Outcome, OutputState};
 use crate::spec::JobSpec;
 use qudit_circuit::passes::{self, CompiledIr, PassLevel};
 use qudit_circuit::{Circuit, Gate, Operation, RoutingSummary, Topology};
+use qudit_core::lru::{CacheStats, Lru};
 use qudit_core::{random_qubit_subspace_state, StateVector};
 use qudit_noise::{
     BackendKind, CancelToken, CrossValidation, DensityNoiseSimulator, InputState,
@@ -18,7 +19,7 @@ use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// Structural fingerprint of a circuit: dimension, width, and per operation
 /// the gate matrix's bit patterns plus its controls and targets. Two
@@ -64,9 +65,9 @@ impl CircuitKey {
 /// the pass-pipeline output (the expensive part — for `Physical` levels it
 /// includes the Di & Wei eigendecompositions) plus lazily built kernel
 /// plans per backend. Every field is a `OnceLock` so the work happens
-/// *outside* the executor's cache mutex: the map lock is only held for the
-/// cheap get-or-insert of the (empty) entry, and concurrent jobs needing
-/// the same entry block on its `OnceLock`, not on the whole cache.
+/// *outside* the compile cache's lock: the lock is only held for the cheap
+/// get-or-insert of the (empty) entry, and concurrent jobs needing the same
+/// entry block on its `OnceLock`, not on the whole cache.
 #[derive(Default)]
 struct CacheEntry {
     ir: OnceLock<Arc<CompiledIr>>,
@@ -139,6 +140,12 @@ type CompileKey = (PassLevel, Option<Topology>, CircuitKey);
 /// once. [`Executor::noise_artifact_stats`] reports the build/share
 /// counters.
 ///
+/// Every cache here is one bounded LRU ([`Lru`]) that drops its
+/// least-recently-used entries at capacity: the compile cache holds 256
+/// (circuit, level, topology) entries ([`Executor::compile_cache_stats`]),
+/// the plan cache 1024 plans, and each entry's site caches 32 models per
+/// backend.
+///
 /// [`Executor::run_batch`] fans jobs out across rayon workers. Every job is
 /// deterministic given its spec (all randomness is seeded from
 /// [`JobSpec::seed`]), so batch results are **bit-identical** to running
@@ -154,17 +161,18 @@ type CompileKey = (PassLevel, Option<Topology>, CircuitKey);
 /// cache is bounded by a fixed 64 MiB of payload as well as by entry
 /// count.
 pub struct Executor {
-    cache: Mutex<HashMap<CompileKey, Arc<CacheEntry>>>,
+    cache: Lru<CompileKey, Arc<CacheEntry>>,
     /// Shared per-gate plan cache for the simulators noisy jobs construct.
     planner: Simulator,
     /// Jobs actually simulated (batch dedup and the result cache share
     /// results, so this can be smaller than the number of specs submitted)
     /// — observability for the dedup tests and the server's metrics.
     simulated: AtomicUsize,
-    /// Finished results keyed on [`Executor::result_key`].
-    results: Mutex<ResultCache>,
-    /// The entry bound (0 disables result caching entirely).
-    result_capacity: usize,
+    /// Finished results keyed on [`Executor::result_key`], weighed by
+    /// their held payload bytes (capacity 0 disables result caching).
+    results: Lru<u128, ExecutionResult>,
+    /// Monte Carlo trials the result-cache hits avoided re-running.
+    trials_saved: AtomicUsize,
     /// Per-executor SipHash keys of the two fingerprint halves: random, so
     /// a client cannot precompute specs that collide in the cache.
     key_state: [RandomState; 2],
@@ -179,8 +187,7 @@ impl Default for Executor {
 /// Job-cache capacity: distinct (circuit, level) pairs held at once. A
 /// batch sweep over the paper's constructions needs a few dozen; the cap
 /// bounds growth when a long-lived executor sees an unbounded stream of
-/// distinct circuits. Eviction is a wholesale clear — entries are
-/// rebuildable and the common case re-warms in one compile each.
+/// distinct circuits; past it the least recently used entry gives way.
 const JOB_CACHE_CAP: usize = 256;
 
 /// Default result-cache capacity: finished results held at once. Sized for
@@ -196,84 +203,6 @@ const RESULT_CACHE_CAP: usize = 512;
 /// least-recently-used entries give way first, and a result larger than
 /// the whole budget is returned but never stored.
 const RESULT_CACHE_MAX_BYTES: usize = 64 << 20;
-
-/// The result cache's interior: fingerprint-keyed results stamped for LRU
-/// eviction with their accounted sizes, plus the counters
-/// [`ResultCacheStats`] reports.
-struct ResultCache {
-    /// key → (LRU stamp, held bytes, result).
-    map: HashMap<u128, (u64, usize, ExecutionResult)>,
-    max_entries: usize,
-    max_bytes: usize,
-    bytes: usize,
-    stamp: u64,
-    hits: usize,
-    misses: usize,
-    trials_saved: usize,
-}
-
-impl ResultCache {
-    fn new(max_entries: usize, max_bytes: usize) -> ResultCache {
-        ResultCache {
-            map: HashMap::new(),
-            max_entries,
-            max_bytes,
-            bytes: 0,
-            stamp: 0,
-            hits: 0,
-            misses: 0,
-            trials_saved: 0,
-        }
-    }
-
-    /// Looks `key` up; refreshes the LRU stamp and the hit counters on a
-    /// hit. `count_miss` charges the miss counter (the run path does; the
-    /// public probe does not). A hit shares the cached payload.
-    fn lookup(&mut self, key: u128, count_miss: bool) -> Option<ExecutionResult> {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let Some(entry) = self.map.get_mut(&key) else {
-            if count_miss {
-                self.misses += 1;
-            }
-            return None;
-        };
-        entry.0 = stamp;
-        let result = entry.2.clone();
-        self.hits += 1;
-        if let Some(trials) = result.trials_run() {
-            self.trials_saved += trials;
-        }
-        Some(result)
-    }
-
-    /// Stores a finished result, evicting least-recently-used entries until
-    /// both the entry and the byte bound admit it. Linear-scan eviction: at
-    /// the default capacity one scan is noise next to the simulation the
-    /// insert just paid for.
-    fn store(&mut self, key: u128, result: &ExecutionResult) {
-        let size = result.held_bytes();
-        if self.max_entries == 0 || size > self.max_bytes {
-            return;
-        }
-        if let Some((_, held, _)) = self.map.remove(&key) {
-            self.bytes -= held;
-        }
-        while self.map.len() >= self.max_entries || self.bytes + size > self.max_bytes {
-            let oldest = self
-                .map
-                .iter()
-                .min_by_key(|(_, (stamp, _, _))| *stamp)
-                .map(|(&k, _)| k)
-                .expect("a non-empty cache is over a bound");
-            let (_, held, _) = self.map.remove(&oldest).expect("key just found");
-            self.bytes -= held;
-        }
-        self.stamp += 1;
-        self.bytes += size;
-        self.map.insert(key, (self.stamp, size, result.clone()));
-    }
-}
 
 /// Two independently keyed SipHash streams fed the same bytes — the
 /// 128-bit result-cache key.
@@ -301,6 +230,8 @@ pub struct ResultCacheStats {
     /// Monte Carlo trials the hits avoided re-running (the dominant cost
     /// a hit saves; noise-free hits save a replay but add nothing here).
     pub trials_saved: usize,
+    /// Results dropped to make room under the entry or byte bound.
+    pub evictions: usize,
     /// Results currently held.
     pub entries: usize,
     /// The configured bound.
@@ -319,11 +250,15 @@ impl Executor {
     /// result caching; compilation caching is unaffected).
     pub fn with_result_cache(capacity: usize) -> Self {
         Executor {
-            cache: Mutex::default(),
+            cache: Lru::new(JOB_CACHE_CAP),
             planner: Simulator::default(),
             simulated: AtomicUsize::new(0),
-            results: Mutex::new(ResultCache::new(capacity, RESULT_CACHE_MAX_BYTES)),
-            result_capacity: capacity,
+            results: Lru::weighted(
+                capacity,
+                RESULT_CACHE_MAX_BYTES,
+                ExecutionResult::held_bytes,
+            ),
+            trials_saved: AtomicUsize::new(0),
             key_state: [RandomState::new(), RandomState::new()],
         }
     }
@@ -346,10 +281,13 @@ impl Executor {
     /// The number of distinct (circuit, level) compilations currently
     /// cached.
     pub fn cached_compilations(&self) -> usize {
-        // Recover from poisoning: the cache holds only immutable
-        // Arc<CacheEntry> values (each populated under its own OnceLock),
-        // so a panic while the lock was held cannot leave a torn state.
-        self.cache.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.cache.stats().entries
+    }
+
+    /// A snapshot of the compile-cache counters: hits, misses, LRU
+    /// evictions, entries held and the entry bound.
+    pub fn compile_cache_stats(&self) -> CacheStats {
+        self.cache.stats()
     }
 
     /// The number of jobs this executor has actually simulated. Batch
@@ -364,9 +302,9 @@ impl Executor {
     /// from the model-keyed cache. A seed sweep under one model should show
     /// `sites_shared` growing while `sites_built` stays put.
     pub fn noise_artifact_stats(&self) -> NoiseArtifactStats {
-        let cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-        cache
+        self.cache
             .values()
+            .iter()
             .filter_map(|entry| entry.noise.get())
             .fold(NoiseArtifactStats::default(), |acc, artifacts| {
                 acc.merge(artifacts.stats())
@@ -375,13 +313,14 @@ impl Executor {
 
     /// A snapshot of the result-cache counters.
     pub fn result_cache_stats(&self) -> ResultCacheStats {
-        let cache = self.results();
+        let stats = self.results.stats();
         ResultCacheStats {
-            hits: cache.hits,
-            misses: cache.misses,
-            trials_saved: cache.trials_saved,
-            entries: cache.map.len(),
-            capacity: self.result_capacity,
+            hits: stats.hits,
+            misses: stats.misses,
+            trials_saved: self.trials_saved.load(Ordering::Relaxed),
+            evictions: stats.evictions,
+            entries: stats.entries,
+            capacity: stats.capacity,
         }
     }
 
@@ -393,21 +332,23 @@ impl Executor {
     /// actual run happens, so a front end that probes first and queues on
     /// miss does not double-count.
     pub fn cached_result(&self, spec: &JobSpec) -> Option<ExecutionResult> {
-        if self.result_capacity == 0 {
+        if self.results.capacity() == 0 {
             return None;
         }
-        self.results().lookup(self.result_key(spec), false)
+        self.count_saved_trials(self.results.probe(&self.result_key(spec)))
     }
 
-    /// The locked result cache. Poisoning is recovered from: the cache's
-    /// updates cannot panic midway, so a panic elsewhere while the lock was
-    /// held leaves it consistent.
-    fn results(&self) -> MutexGuard<'_, ResultCache> {
-        self.results.lock().unwrap_or_else(|e| e.into_inner())
+    /// Adds a result-cache hit's trials to the trials-saved counter and
+    /// passes the lookup through.
+    fn count_saved_trials(&self, hit: Option<ExecutionResult>) -> Option<ExecutionResult> {
+        if let Some(trials) = hit.as_ref().and_then(ExecutionResult::trials_run) {
+            self.trials_saved.fetch_add(trials, Ordering::Relaxed);
+        }
+        hit
     }
 
     /// Get-or-inserts the cache entry and ensures its IR is compiled. Only
-    /// the map lookup holds the cache mutex; the pass pipeline itself runs
+    /// the entry lookup holds the cache lock; the pass pipeline itself runs
     /// under the entry's own `OnceLock`, so distinct circuits compile
     /// concurrently and cache readers never wait on a compile.
     fn entry(
@@ -417,18 +358,11 @@ impl Executor {
         topology: Option<&Topology>,
     ) -> (Arc<CacheEntry>, Arc<CompiledIr>) {
         let key = (level, topology.cloned(), CircuitKey::of(circuit));
-        let entry = {
-            let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(entry) = cache.get(&key) {
-                Arc::clone(entry)
-            } else {
-                if cache.len() >= JOB_CACHE_CAP {
-                    cache.clear();
-                }
-                let entry = Arc::new(CacheEntry::default());
-                cache.insert(key, Arc::clone(&entry));
-                entry
-            }
+        // First insert wins, so concurrent jobs on a new circuit share one
+        // entry and its `OnceLock`s.
+        let entry = match self.cache.get(&key) {
+            Some(entry) => entry,
+            None => self.cache.insert(key, Arc::default()),
         };
         let ir = entry.ir(circuit, level, topology);
         (entry, ir)
@@ -455,7 +389,7 @@ impl Executor {
     /// [`ApiError::DeadlineExceeded`] once the token trips; otherwise the
     /// same conditions as [`Executor::run`].
     pub fn run_with(&self, spec: &JobSpec, cancel: &CancelToken) -> ApiResult<ExecutionResult> {
-        let key = (self.result_capacity > 0).then(|| self.result_key(spec));
+        let key = (self.results.capacity() > 0).then(|| self.result_key(spec));
         self.run_keyed(spec, key, cancel)
     }
 
@@ -471,12 +405,11 @@ impl Executor {
         let Some(key) = key else {
             return self.run_uncached(spec, cancel);
         };
-        if let Some(result) = self.results().lookup(key, true) {
+        if let Some(result) = self.count_saved_trials(self.results.get(&key)) {
             return Ok(result);
         }
         let result = self.run_uncached(spec, cancel)?;
-        self.results().store(key, &result);
-        Ok(result)
+        Ok(self.results.insert(key, result))
     }
 
     /// The simulation path behind [`Executor::run_with`], bypassing the
@@ -610,7 +543,7 @@ impl Executor {
                 })
             })
             .collect();
-        let cached = self.result_capacity > 0;
+        let cached = self.results.capacity() > 0;
         let results: Vec<ApiResult<ExecutionResult>> = (0..unique.len())
             .into_par_iter()
             .map(|u| {
@@ -947,33 +880,6 @@ mod tests {
     }
 
     #[test]
-    fn a_caught_panic_does_not_disable_the_executor() {
-        // Regression: the job cache used `.lock().expect("job cache
-        // poisoned")`, so one panicking job while holding the lock bricked
-        // the shared Executor for every later caller. Poison the mutex the
-        // hard way and verify the executor keeps serving.
-        let executor = Executor::new();
-        let spec = JobSpec::builder(toffoli_fig4())
-            .input(InputState::Basis(vec![1, 1, 0]))
-            .build()
-            .unwrap();
-        executor.run(&spec).unwrap();
-
-        let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = executor.cache.lock().unwrap();
-            panic!("job panicked while holding the cache lock");
-        }));
-        assert!(poison.is_err());
-        assert!(executor.cache.is_poisoned(), "test must actually poison");
-
-        // Both the metric and the run path must recover.
-        assert_eq!(executor.cached_compilations(), 1);
-        let result = executor.run(&spec).unwrap();
-        let out = &result.states().unwrap()[0];
-        assert!((out.probability(&[1, 1, 1]).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn batch_dedup_simulates_identical_specs_once() {
         let executor = Executor::new();
         let make = |seed: u64| {
@@ -1033,6 +939,77 @@ mod tests {
         executor.run(&spec).unwrap();
         let stats = executor.noise_artifact_stats();
         assert_eq!((stats.sites_built, stats.sites_shared), (2, 4));
+    }
+
+    #[test]
+    fn noise_site_caches_stay_bounded_and_rebuild_evicted_models() {
+        // Result caching off, so every run reaches the entry's site caches.
+        let executor = Executor::with_result_cache(0);
+        let spec = |backend: BackendKind, i: usize| {
+            let mut model = models::sc();
+            model.p1 *= 1.0 + i as f64 / 64.0;
+            JobSpec::builder(toffoli_fig4())
+                .noise(model)
+                .backend(backend)
+                .trials(2)
+                .build()
+                .unwrap()
+        };
+        let artifacts = || {
+            let entries = executor.cache.values();
+            assert_eq!(entries.len(), 1, "one circuit, one compile entry");
+            Arc::clone(entries[0].noise.get().unwrap())
+        };
+        let built = || executor.noise_artifact_stats().sites_built;
+        for backend in [BackendKind::Trajectory, BackendKind::DensityMatrix] {
+            let first = executor.run(&spec(backend, 0)).unwrap();
+            let cap = artifacts().site_cache_stats(backend).capacity;
+            for i in 1..3 * cap {
+                let before = built();
+                executor.run(&spec(backend, i)).unwrap();
+                assert_eq!(built(), before + 1, "a new model builds one site set");
+                let held = artifacts().site_cache_stats(backend).entries;
+                assert!(held <= cap, "{held} site sets held, cap {cap}");
+            }
+            // The first model was evicted long ago: it rebuilds, and the
+            // rebuilt sites reproduce its first run to the bit.
+            let before = built();
+            let again = executor.run(&spec(backend, 0)).unwrap();
+            assert_eq!(built(), before + 1);
+            let (a, b) = (first.fidelity().unwrap(), again.fidelity().unwrap());
+            assert_eq!(a.mean.to_bits(), b.mean.to_bits());
+            assert_eq!(a.std_error.to_bits(), b.std_error.to_bits());
+            assert_eq!(a.trials, b.trials);
+        }
+    }
+
+    #[test]
+    fn compile_cache_keeps_its_hot_set_at_capacity() {
+        let executor = Executor::new();
+        let circuit = |i: usize| {
+            let mut c = Circuit::new(3, 1);
+            c.push_gate(Gate::x_pow(3, (i + 1) as f64 * 1e-3), &[0])
+                .unwrap();
+            c
+        };
+        let compile = |i: usize| executor.compile_statevector(&circuit(i), PassLevel::Physical);
+        for i in 0..JOB_CACHE_CAP {
+            compile(i);
+        }
+        // Touch the first circuit, so it is not the LRU victim of the next.
+        compile(0);
+        compile(JOB_CACHE_CAP);
+        assert_eq!(executor.cached_compilations(), JOB_CACHE_CAP);
+        let before = executor.compile_cache_stats();
+        compile(0);
+        let after = executor.compile_cache_stats();
+        assert_eq!(executor.cached_compilations(), JOB_CACHE_CAP);
+        assert_eq!(
+            (after.hits, after.misses),
+            (before.hits + 1, before.misses),
+            "the touched circuit must still hit"
+        );
+        assert_eq!(after.evictions, 1);
     }
 
     #[test]
@@ -1486,56 +1463,6 @@ mod tests {
         assert_ne!(key >> 64, key & u128::from(u64::MAX));
     }
 
-    /// A result holding `states` populations payloads of `amps` entries.
-    fn populations_result(states: usize, amps: usize, fill: f64) -> ExecutionResult {
-        ExecutionResult {
-            backend: BackendKind::DensityMatrix,
-            resources: qudit_circuit::ResourceReport::measure(&toffoli_fig4()),
-            outcome: Outcome::States(
-                (0..states)
-                    .map(|_| OutputState::Populations {
-                        dim: amps,
-                        width: 1,
-                        probabilities: vec![fill; amps],
-                    })
-                    .collect(),
-            ),
-        }
-    }
-
-    #[test]
-    fn result_cache_evicts_by_bytes_and_refuses_oversized_results() {
-        let one = populations_result(1, 100, 0.5).held_bytes();
-        // Room for three such results by bytes, ten by entries.
-        let mut cache = ResultCache::new(10, 3 * one + one / 2);
-        for key in 0..8u128 {
-            let result = populations_result(1, 100, key as f64);
-            cache.store(key, &result);
-            assert!(cache.bytes <= cache.max_bytes);
-            assert_eq!(
-                cache.bytes,
-                cache.map.values().map(|(_, held, _)| held).sum::<usize>()
-            );
-            // The newest entry is always held, and a hit shares its payload.
-            let hit = cache.lookup(key, true).unwrap();
-            assert_eq!(hit, result);
-            let (Outcome::States(held), Outcome::States(got)) =
-                (&cache.map[&key].2.outcome, &hit.outcome)
-            else {
-                panic!("states outcome expected");
-            };
-            assert!(Arc::ptr_eq(held, got));
-        }
-        assert_eq!(cache.map.len(), 3);
-        assert!(cache.lookup(4, true).is_none(), "the LRU entry went first");
-        // A result larger than the whole budget is never stored, and
-        // storing it evicts nothing.
-        let before = cache.bytes;
-        cache.store(99, &populations_result(1, 1000, 1.0));
-        assert!(cache.lookup(99, true).is_none());
-        assert_eq!((cache.bytes, cache.map.len()), (before, 3));
-    }
-
     #[test]
     fn wide_results_stay_within_the_byte_budget_and_hit_bit_identically() {
         // 11 qutrits: 2.8 MB per state, six states (17 MB) per result, so
@@ -1556,7 +1483,7 @@ mod tests {
         let executor = Executor::new();
         for first in 0..6 {
             executor.run(&make(first)).unwrap();
-            let held = executor.results().bytes;
+            let held = executor.results.stats().weight;
             assert!(held <= RESULT_CACHE_MAX_BYTES, "{held} bytes held");
             assert!(executor.result_cache_stats().entries >= 1);
         }

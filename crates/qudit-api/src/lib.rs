@@ -70,6 +70,7 @@ pub use spec::{JobSpec, JobSpecBuilder, DENSITY_MAX_ENTRIES};
 // Re-export the vocabulary types a façade caller needs, so consumers can
 // depend on `qudit-api` alone.
 pub use qudit_circuit::{Circuit, PassLevel, ResourceReport, RoutedCosts, Topology, TopologyKind};
+pub use qudit_core::lru::CacheStats;
 pub use qudit_noise::{
     BackendKind, CancelToken, CrossValidation, FidelityEstimate, InputState, NoiseArtifactStats,
     NoiseModel, Precision,

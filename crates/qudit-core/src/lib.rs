@@ -3,7 +3,8 @@
 //! Foundational math for the qutrits reproduction workspace: a minimal
 //! complex-number type, dense complex matrices, state vectors over registers
 //! of `d`-level qudits, a library of qubit/qutrit/qudit gate matrices, and
-//! `O(d^N)` random state generation.
+//! `O(d^N)` random state generation, plus the bounded-LRU cache ([`lru`])
+//! that every memo layer of the workspace is built on.
 //!
 //! This crate corresponds to the mathematical substrate that the paper's
 //! Cirq extension relies on (state vectors, gate matrices, random states); the
@@ -33,6 +34,7 @@ mod complex;
 mod eig;
 mod error;
 pub mod gates;
+pub mod lru;
 mod matrix;
 mod random;
 #[cfg(feature = "serde")]

@@ -12,24 +12,31 @@
 //! * the compiled ideal state-vector replay and noisy density replay of
 //!   the program circuit — built lazily, model-independent;
 //! * the per-site channel artifacts (`NoiseSites`) — keyed by the noise
-//!   model's parameters, so a sweep over seeds/trial counts under one
-//!   model compiles its channels once, while distinct models still get
-//!   their own.
+//!   model's parameters in a bounded LRU per backend, so a sweep over
+//!   seeds/trial counts under one model compiles its channels once, while
+//!   distinct models still get their own.
 //!
 //! The hit/build counters are observability for exactly that sharing;
 //! [`NoiseArtifactStats`] is surfaced through `qudit_api::Executor`.
 
+use crate::backend::BackendKind;
 use crate::error::NoiseResult;
-use crate::kraus::CompiledChannel;
+use crate::kraus::{Channel, CompiledChannel};
 use crate::models::NoiseModel;
 use crate::trajectory::{build_noise_sites, NoiseProgram, NoiseSites};
 use qudit_circuit::passes::CompiledIr;
+use qudit_core::lru::{CacheStats, Lru};
 use qudit_sim::{
     superoperator_targets, ApplyPlan, CompiledCircuit, CompiledDensityCircuit, Simulator,
 };
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
+
+/// Models held by each per-backend site cache of one entry. The most
+/// distinct models any harness or test sends to one circuit is 10 — the
+/// crossval cases on the Figure 4 Toffoli: the 7 paper models plus 3
+/// optional-channel variants — so real sweeps never evict, while a stream
+/// of distinct parameters cannot grow an entry without bound.
+const SITE_CACHE_CAP: usize = 32;
 
 /// A noise model's physics parameters as an exact (bitwise) hash key. Two
 /// models with the same parameters produce identical channel artifacts
@@ -66,7 +73,7 @@ impl ModelKey {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NoiseArtifactStats {
     /// Site sets compiled from scratch (one per distinct model per entry
-    /// per backend).
+    /// per backend, plus one per rebuild of an evicted model).
     pub sites_built: usize,
     /// Site-set requests answered from the cache.
     pub sites_shared: usize,
@@ -85,19 +92,18 @@ impl NoiseArtifactStats {
 /// Memoized noise artifacts for one compiled circuit (see the module doc).
 ///
 /// Everything is interior-mutable and `Sync`: the replay circuits sit
-/// behind `OnceLock`s, the model-keyed site maps behind mutexes that are
-/// held only for a map lookup/insert (channel compilation itself happens
-/// outside the lock, so two *distinct* models can compile concurrently —
-/// a duplicated build for the *same* model in that window is benign and
-/// the first insert wins).
+/// behind `OnceLock`s, the model-keyed site sets in one bounded [`Lru`]
+/// per backend, each holding at most 32 models and dropping the least
+/// recently used one past that. Channel compilation happens outside the
+/// cache lock, so two *distinct* models can compile concurrently — a
+/// duplicated build for the *same* model in that window is benign and the
+/// first insert wins.
 pub struct SharedNoiseArtifacts {
     program: Arc<NoiseProgram>,
     ideal: OnceLock<Arc<CompiledCircuit>>,
     noisy_density: OnceLock<Arc<CompiledDensityCircuit>>,
-    trajectory_sites: Mutex<HashMap<ModelKey, Arc<NoiseSites<CompiledChannel>>>>,
-    density_sites: Mutex<HashMap<ModelKey, Arc<NoiseSites<ApplyPlan>>>>,
-    sites_built: AtomicUsize,
-    sites_shared: AtomicUsize,
+    trajectory_sites: Lru<ModelKey, Arc<NoiseSites<CompiledChannel>>>,
+    density_sites: Lru<ModelKey, Arc<NoiseSites<ApplyPlan>>>,
 }
 
 impl SharedNoiseArtifacts {
@@ -115,10 +121,8 @@ impl SharedNoiseArtifacts {
             program: Arc::new(NoiseProgram::from_ir(ir)?),
             ideal: OnceLock::new(),
             noisy_density: OnceLock::new(),
-            trajectory_sites: Mutex::new(HashMap::new()),
-            density_sites: Mutex::new(HashMap::new()),
-            sites_built: AtomicUsize::new(0),
-            sites_shared: AtomicUsize::new(0),
+            trajectory_sites: Lru::new(SITE_CACHE_CAP),
+            density_sites: Lru::new(SITE_CACHE_CAP),
         })
     }
 
@@ -146,7 +150,7 @@ impl SharedNoiseArtifacts {
     }
 
     /// The trajectory engine's per-site channel branch plans under `model`,
-    /// compiled once per distinct model.
+    /// compiled once per cached model.
     ///
     /// # Errors
     ///
@@ -155,28 +159,14 @@ impl SharedNoiseArtifacts {
         &self,
         model: &NoiseModel,
     ) -> NoiseResult<Arc<NoiseSites<CompiledChannel>>> {
-        let key = ModelKey::of(model);
-        if let Some(sites) = self.trajectory_sites.lock().expect("sites map").get(&key) {
-            self.sites_shared.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(sites));
-        }
-        let d = self.program.circuit.dim();
-        let n = self.program.circuit.width();
-        let built = Arc::new(build_noise_sites(&self.program, model, |c, qudits| {
+        let (d, n) = (self.program.circuit.dim(), self.program.circuit.width());
+        self.sites(&self.trajectory_sites, model, |c, qudits| {
             c.compile(d, n, qudits)
-        })?);
-        self.sites_built.fetch_add(1, Ordering::Relaxed);
-        Ok(Arc::clone(
-            self.trajectory_sites
-                .lock()
-                .expect("sites map")
-                .entry(key)
-                .or_insert(built),
-        ))
+        })
     }
 
     /// The density engine's per-site superoperator plans under `model`,
-    /// compiled once per distinct model.
+    /// compiled once per cached model.
     ///
     /// # Errors
     ///
@@ -185,36 +175,48 @@ impl SharedNoiseArtifacts {
         &self,
         model: &NoiseModel,
     ) -> NoiseResult<Arc<NoiseSites<ApplyPlan>>> {
-        let key = ModelKey::of(model);
-        if let Some(sites) = self.density_sites.lock().expect("sites map").get(&key) {
-            self.sites_shared.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(sites));
-        }
-        let d = self.program.circuit.dim();
-        let n = self.program.circuit.width();
-        let built = Arc::new(build_noise_sites(&self.program, model, |c, qudits| {
+        let (d, n) = (self.program.circuit.dim(), self.program.circuit.width());
+        self.sites(&self.density_sites, model, |c, qudits| {
             ApplyPlan::for_matrix(
                 d,
                 2 * n,
                 &c.superoperator(),
                 &superoperator_targets(qudits, n),
             )
-        })?);
-        self.sites_built.fetch_add(1, Ordering::Relaxed);
-        Ok(Arc::clone(
-            self.density_sites
-                .lock()
-                .expect("sites map")
-                .entry(key)
-                .or_insert(built),
-        ))
+        })
     }
 
-    /// A snapshot of the build/share counters.
+    /// The site set under `model` from `cache`, compiling each site with
+    /// `build` (outside the cache lock) on a miss.
+    fn sites<T>(
+        &self,
+        cache: &Lru<ModelKey, Arc<NoiseSites<T>>>,
+        model: &NoiseModel,
+        build: impl FnMut(&Channel, &[usize]) -> T,
+    ) -> NoiseResult<Arc<NoiseSites<T>>> {
+        let key = ModelKey::of(model);
+        if let Some(sites) = cache.get(&key) {
+            return Ok(sites);
+        }
+        let built = Arc::new(build_noise_sites(&self.program, model, build)?);
+        Ok(cache.insert(key, built))
+    }
+
+    /// The counters of `backend`'s site cache: hits, misses (site sets
+    /// built), evictions and the model keys held.
+    pub fn site_cache_stats(&self, backend: BackendKind) -> CacheStats {
+        match backend {
+            BackendKind::Trajectory => self.trajectory_sites.stats(),
+            BackendKind::DensityMatrix => self.density_sites.stats(),
+        }
+    }
+
+    /// A snapshot of the build/share counters, read from both site caches.
     pub fn stats(&self) -> NoiseArtifactStats {
+        let (t, d) = (self.trajectory_sites.stats(), self.density_sites.stats());
         NoiseArtifactStats {
-            sites_built: self.sites_built.load(Ordering::Relaxed),
-            sites_shared: self.sites_shared.load(Ordering::Relaxed),
+            sites_built: t.misses + d.misses,
+            sites_shared: t.hits + d.hits,
         }
     }
 }

@@ -19,7 +19,8 @@
 //!    poisoned job answers `500 internal_panic` while the worker pool and
 //!    the executor's compile cache keep serving.
 //! 4. **Graceful degradation and shutdown** — `GET /healthz` and
-//!    `GET /readyz` report queue depth/capacity and job counters;
+//!    `GET /readyz` report queue depth/capacity, job counters and the
+//!    compile- and result-cache counters;
 //!    [`Server::shutdown`] stops accepting, drains in-flight jobs under
 //!    [`ServerConfig::drain_deadline`], cancels leftovers, and joins every
 //!    thread.

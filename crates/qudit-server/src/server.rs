@@ -363,7 +363,8 @@ fn json_response(status: u16, body: &str) -> tiny_http::Response {
         .with_header("Content-Type", "application/json")
 }
 
-/// The health/readiness body: status plus live queue and job counters.
+/// The health/readiness body: status plus live queue, job and cache
+/// counters.
 fn health_body(state: &ServerState, status: &str) -> String {
     let body = Value::object(vec![
         ("status", Value::Str(status.to_string())),
@@ -400,12 +401,23 @@ fn health_body(state: &ServerState, status: &str) -> String {
                 ),
             ]),
         ),
+        ("compile_cache", {
+            let stats = state.executor.compile_cache_stats();
+            Value::object(vec![
+                ("hits", Value::UInt(stats.hits as u64)),
+                ("misses", Value::UInt(stats.misses as u64)),
+                ("evictions", Value::UInt(stats.evictions as u64)),
+                ("entries", Value::UInt(stats.entries as u64)),
+                ("capacity", Value::UInt(stats.capacity as u64)),
+            ])
+        }),
         ("result_cache", {
             let stats = state.executor.result_cache_stats();
             Value::object(vec![
                 ("hits", Value::UInt(stats.hits as u64)),
                 ("misses", Value::UInt(stats.misses as u64)),
                 ("trials_saved", Value::UInt(stats.trials_saved as u64)),
+                ("evictions", Value::UInt(stats.evictions as u64)),
                 ("entries", Value::UInt(stats.entries as u64)),
                 ("capacity", Value::UInt(stats.capacity as u64)),
             ])

@@ -8,8 +8,9 @@ use std::sync::atomic::Ordering;
 /// Consumes the queue until it closes and drains. Every job runs under
 /// `catch_unwind`, so one poisoned job maps to a typed `internal_panic`
 /// outcome while the worker thread — and the shared executor with its
-/// compile cache — keeps serving (the executor's cache mutex recovers from
-/// poisoning; the poison-regression test in `qudit-api` pins that).
+/// caches — keeps serving (every executor cache is a `qudit_core::lru::Lru`,
+/// whose lock recovers from poisoning; the poison-regression test in
+/// `qudit-core` pins that).
 pub(crate) fn run(state: &ServerState) {
     while let Some(job) = state.queue.pop() {
         state.active.fetch_add(1, Ordering::SeqCst);

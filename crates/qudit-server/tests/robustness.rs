@@ -264,7 +264,13 @@ fn health_endpoints_report_queue_and_job_counters() {
     );
     let cache = health.get("result_cache").expect("result_cache block");
     assert_eq!(cache.get("hits").unwrap().as_usize().unwrap(), 0);
+    assert_eq!(cache.get("evictions").unwrap().as_usize().unwrap(), 0);
     assert!(cache.get("capacity").unwrap().as_usize().unwrap() > 0);
+    let compile = health.get("compile_cache").expect("compile_cache block");
+    for counter in ["hits", "misses", "evictions", "entries"] {
+        assert_eq!(compile.get(counter).unwrap().as_usize().unwrap(), 0);
+    }
+    assert!(compile.get("capacity").unwrap().as_usize().unwrap() > 0);
 
     let (status, body) = get(addr, "/readyz");
     assert_eq!(status, 200, "readyz when idle: {body}");
@@ -275,6 +281,11 @@ fn health_endpoints_report_queue_and_job_counters() {
     let health = serde::json::parse(&body).expect("healthz JSON");
     let jobs = health.get("jobs").expect("jobs block");
     assert!(jobs.get("completed").unwrap().as_usize().unwrap() >= 1);
+    let compile = health.get("compile_cache").expect("compile_cache block");
+    assert!(compile.get("misses").unwrap().as_usize().unwrap() >= 1);
+    assert!(compile.get("entries").unwrap().as_usize().unwrap() >= 1);
+    let cache = health.get("result_cache").expect("result_cache block");
+    assert!(cache.get("misses").unwrap().as_usize().unwrap() >= 1);
     server.shutdown();
 }
 
@@ -300,6 +311,10 @@ fn repeated_jobs_are_answered_from_the_result_cache() {
         "{body}"
     );
     assert_eq!(cache.get("entries").unwrap().as_usize().unwrap(), 1);
+    // The hit never reached the compile cache: one miss from the first run.
+    let compile = health.get("compile_cache").expect("compile_cache block");
+    assert_eq!(compile.get("misses").unwrap().as_usize().unwrap(), 1);
+    assert_eq!(compile.get("hits").unwrap().as_usize().unwrap(), 0);
     let jobs = health.get("jobs").expect("jobs block");
     // Only the first submission entered the queue; the hit skipped it.
     assert_eq!(jobs.get("accepted").unwrap().as_usize().unwrap(), 1);

@@ -3,11 +3,11 @@
 use crate::kernel::{with_amp_scratch, ApplyPlan, PAR_MIN_WORK};
 use qudit_circuit::passes::{self, CompiledIr, PassLevel};
 use qudit_circuit::{Circuit, Operation, Schedule};
+use qudit_core::lru::Lru;
 use qudit_core::{CoreResult, StateVector};
 use rayon::prelude::*;
-use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Maximum amplitudes per chunk of a cache-blocked replay segment (1 MiB of
 /// complex amplitudes) — big enough that runs of ops are mergeable, small
@@ -463,7 +463,8 @@ impl PlanKey {
 /// The simulator caches one [`ApplyPlan`] per distinct (gate, qudits)
 /// combination it encounters, so re-running the same circuit — or circuits
 /// sharing gates — skips all per-operation precomputation after the first
-/// pass.
+/// pass. The plan cache is a bounded LRU ([`Lru`]) of 1024 plans: past
+/// that, the least recently used plan makes room.
 ///
 /// # Examples
 ///
@@ -479,16 +480,23 @@ impl PlanKey {
 /// assert!((out.probability(&[1, 1]).unwrap() - 1.0).abs() < 1e-12);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Simulator {
-    cache: Mutex<HashMap<PlanKey, Arc<ApplyPlan>>>,
+    cache: Lru<PlanKey, Arc<ApplyPlan>>,
 }
 
 /// Plan-cache capacity. Keys are structural, so re-built gates re-hit; the
 /// cap bounds growth from genuinely distinct matrices (e.g. the continuum
-/// of `X^t` roots in the qubit baselines). Plans are cheap to rebuild, so
-/// eviction is a wholesale clear rather than bookkeeping.
+/// of `X^t` roots in the qubit baselines).
 const PLAN_CACHE_CAP: usize = 1024;
+
+impl Default for Simulator {
+    fn default() -> Self {
+        Simulator {
+            cache: Lru::new(PLAN_CACHE_CAP),
+        }
+    }
+}
 
 impl Simulator {
     /// Creates a simulator with an empty plan cache.
@@ -497,24 +505,19 @@ impl Simulator {
     }
 
     /// Returns the cached plan for `op` on a `width`-qudit register,
-    /// building and caching it on first sight.
+    /// building it outside the cache lock and caching it on first sight.
     fn plan_for(&self, width: usize, op: &Operation) -> Arc<ApplyPlan> {
         let key = PlanKey::for_operation(width, op);
-        let mut cache = self.cache.lock().expect("plan cache poisoned");
-        if let Some(cached) = cache.get(&key) {
-            return Arc::clone(cached);
+        if let Some(cached) = self.cache.get(&key) {
+            return cached;
         }
-        let plan = Arc::new(ApplyPlan::for_operation(width, op));
-        if cache.len() >= PLAN_CACHE_CAP {
-            cache.clear();
-        }
-        cache.insert(key, Arc::clone(&plan));
-        plan
+        self.cache
+            .insert(key, Arc::new(ApplyPlan::for_operation(width, op)))
     }
 
     /// The number of distinct plans currently cached.
     pub fn cached_plans(&self) -> usize {
-        self.cache.lock().expect("plan cache poisoned").len()
+        self.cache.stats().entries
     }
 
     /// Compiles a circuit through this simulator's plan cache, exactly as
