@@ -53,8 +53,8 @@ fn main() {
             let measured = if n <= measure_cap {
                 let c = benchmark_circuit(construction, n);
                 // Measured on the *physically lowered* circuit (Di & Wei
-                // blocks in the IR), not inferred from per-arity weights.
-                ResourceReport::measure_physical(&c).depth().to_string()
+                // blocks in the IR).
+                ResourceReport::measure(&c).depth().to_string()
             } else {
                 "-".to_string()
             };

@@ -13,7 +13,7 @@
 //! Usage: `cargo run --release -p bench --bin passes [-- --verbose]`
 
 use qudit_circuit::passes::{compile, PassLevel};
-use qudit_circuit::Circuit;
+use qudit_circuit::{Circuit, ResourceReport};
 use qutrit_toffoli::gen_toffoli::n_controlled_x;
 use qutrit_toffoli::grover::{grover_circuit, optimal_iterations};
 use qutrit_toffoli::incrementer::incrementer;
@@ -54,16 +54,17 @@ fn main() {
             "construction", "ops pre", "ops post", "2q pre", "2q post", "d pre", "d post"
         );
         for (name, circuit) in cases() {
+            let pre = ResourceReport::measure(&circuit);
             let ir = compile(&circuit, level);
             let report = ir.report();
             println!(
                 "{:<34} {:>9} {:>9} {:>9} {:>9} {:>7} {:>7}",
                 name,
-                report.pre.total_ops(),
+                pre.total_ops(),
                 report.post.total_ops(),
-                report.pre.two_qudit_gates(),
+                pre.two_qudit_gates(),
                 report.post.two_qudit_gates(),
-                report.pre.depth(),
+                pre.depth(),
                 report.post.depth()
             );
             if verbose {

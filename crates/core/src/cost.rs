@@ -5,8 +5,8 @@
 //! * the paper's *analytic* cost models — the fitted constants it reports
 //!   (`~633N` / `~76N` / `~38·log₂N` depth and `~397N` / `~48N` / `~6N`
 //!   two-qudit gates) plus the asymptotic rows of Table 1; and
-//! * *measured* costs obtained by building our constructions and analysing
-//!   them with the Di & Wei expansion of three-qudit gates.
+//! * *measured* costs obtained by building our constructions and counting
+//!   their Di & Wei lowering.
 
 use crate::baselines::{he_log_depth, qubit_no_ancilla, qubit_one_dirty_ancilla};
 use crate::gen_toffoli::n_controlled_x;
@@ -149,14 +149,14 @@ pub fn paper_two_qudit_gate_model(construction: Construction, n_controls: usize)
 }
 
 /// Builds the circuit for a construction (where we implement one) and
-/// measures it with the [`ResourceReport`] analyzer — the same analyzer
-/// the compiler's pass pipeline reports pre/post resources with, so every
+/// measures it with [`ResourceReport::measure`] — the same analyzer the
+/// compiler's pass pipeline reports its output's resources with, so every
 /// count column in the paper reproductions comes from one place. Physical
-/// columns are *measured on the lowered circuit*: the compiler's
+/// columns are *counted on the lowered circuit*: the compiler's
 /// `PassLevel::Physical` pipeline expands every ≥3-qudit operation into
 /// its Di & Wei realisation and the two-qudit count and physical depth are
-/// counted on the result (the golden suite pins that these equal the
-/// values the per-arity weights used to infer).
+/// counted on the result (the golden suite pins them at the paper's 6/7/6
+/// per three-qutrit gate).
 ///
 /// Returns `None` for the analytic-only constructions (Wang, Lanyon).
 ///
@@ -174,7 +174,7 @@ pub fn measured_costs(
         Construction::He => Some(he_log_depth(n_controls, 2)?),
         Construction::Wang | Construction::Lanyon => None,
     };
-    Ok(circuit.as_ref().map(ResourceReport::measure_physical))
+    Ok(circuit.as_ref().map(ResourceReport::measure))
 }
 
 #[cfg(test)]

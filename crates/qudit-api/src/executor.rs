@@ -812,6 +812,51 @@ mod tests {
     }
 
     #[test]
+    fn operations_over_the_lowering_bound_are_tallied_or_refused() {
+        // Nine controls exceed `MAX_LOWERED_CONTROLS`: the op is left
+        // unlowered instead of expanding into ~3·10⁴ gates. Noise-free it
+        // still simulates and is tallied as unlowered; a noisy job is
+        // refused with a typed error.
+        let controls = qudit_circuit::decompose::MAX_LOWERED_CONTROLS + 1;
+        let mut c = Circuit::new(2, controls + 1);
+        let on_one: Vec<Control> = (0..controls).map(Control::on_one).collect();
+        c.push_controlled(Gate::x(2), &on_one, &[controls]).unwrap();
+        let executor = Executor::new();
+        for level in [PassLevel::Ideal, PassLevel::Physical] {
+            let spec = JobSpec::builder(c.clone()).level(level).build().unwrap();
+            let result = executor.run(&spec).unwrap();
+            assert_eq!(result.resources.physical.three_plus_qudit_ops, 1);
+        }
+        let noisy = JobSpec::builder(c)
+            .noise(models::sc())
+            .backend(BackendKind::Trajectory)
+            .trials(4)
+            .build()
+            .unwrap();
+        assert!(executor.run(&noisy).is_err());
+    }
+
+    #[test]
+    fn ideal_jobs_over_the_lowering_budget_are_counted_unlowered() {
+        // 200 eight-controlled X ops would lower to about 2·10⁶ gates just
+        // for the report: over budget, the physical column leaves them
+        // unlowered and tallies them instead.
+        let mut c = Circuit::new(2, 9);
+        for i in 0..200 {
+            let target = 8 - i % 2;
+            let controls: Vec<Control> = (0..9)
+                .filter(|&q| q != target)
+                .map(Control::on_one)
+                .collect();
+            c.push_controlled(Gate::x(2), &controls, &[target]).unwrap();
+        }
+        let spec = JobSpec::builder(c).level(PassLevel::Ideal).build().unwrap();
+        let resources = Executor::new().run(&spec).unwrap().resources;
+        assert_eq!(resources.physical.three_plus_qudit_ops, 200);
+        assert_eq!(resources.physical, resources.logical);
+    }
+
+    #[test]
     fn logical_ablation_routes_through_the_level_knob() {
         // A genuine 3-qutrit op: the logical level must be more optimistic.
         let mut c = Circuit::new(3, 3);

@@ -1,194 +1,59 @@
-//! Circuit cost analysis.
+//! Circuit cost counting.
 //!
 //! The paper evaluates constructions by two costs (Section 2): the circuit
 //! *depth* (critical path length, i.e. number of moments) and the gate
-//! counts, in particular the number of two-qudit gates (Figure 10). The
-//! paper's tree construction is expressed in three-qutrit gates which are
-//! each implemented as 6 two-qutrit + 7 single-qutrit physical gates; the
-//! [`CostWeights`] type captures that expansion so costs can be reported at
-//! physical-gate granularity.
+//! counts, in particular the number of two-qudit gates (Figure 10).
+//! [`CircuitCosts`] holds those counts for one operation list under one
+//! counting rule; [`crate::ResourceReport`] applies the rule to a circuit
+//! (its logical column) and to that circuit's Di & Wei lowering (its
+//! physical column), so the physical numbers are always counted on
+//! operations that exist rather than inferred from per-arity constants.
 
-use crate::circuit::Circuit;
-use crate::schedule::Schedule;
+use crate::schedule::{FrameSchedule, Schedule};
 
-/// How to expand operations of each arity into physical one- and two-qudit
-/// gates when accounting costs.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CostWeights {
-    /// Physical two-qudit gates charged per three-qudit operation.
-    pub two_qudit_per_three_qudit_op: usize,
-    /// Physical single-qudit gates charged per three-qudit operation.
-    pub one_qudit_per_three_qudit_op: usize,
-    /// Depth (in physical moments) charged per three-qudit operation.
-    pub depth_per_three_qudit_op: usize,
-}
-
-impl CostWeights {
-    /// The paper's accounting: each three-qutrit gate is decomposed into
-    /// 6 two-qutrit and 7 single-qutrit gates (Di & Wei \[15\]); we charge the
-    /// decomposition a depth of 6 two-qudit layers (the single-qudit gates
-    /// interleave with them).
-    pub fn di_wei() -> Self {
-        CostWeights {
-            two_qudit_per_three_qudit_op: 6,
-            one_qudit_per_three_qudit_op: 7,
-            depth_per_three_qudit_op: 6,
-        }
-    }
-
-    /// No expansion: three-qudit operations are counted as single gates of
-    /// depth 1 (useful for reasoning about the logical circuit itself).
-    pub fn logical() -> Self {
-        CostWeights {
-            two_qudit_per_three_qudit_op: 1,
-            one_qudit_per_three_qudit_op: 0,
-            depth_per_three_qudit_op: 1,
-        }
-    }
-}
-
-impl Default for CostWeights {
-    fn default() -> Self {
-        CostWeights::di_wei()
-    }
-}
-
-/// A summary of a circuit's resource costs.
+/// A summary of one operation list's resource costs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CircuitCosts {
     /// Register width (number of qudits).
     pub width: usize,
-    /// Total operation count at logical granularity.
+    /// Total operation count.
     pub total_ops: usize,
-    /// Number of single-qudit physical gates after expansion.
+    /// Number of single-qudit operations.
     pub one_qudit_gates: usize,
-    /// Number of two-qudit physical gates after expansion.
+    /// Number of operations touching two or more qudits.
     pub two_qudit_gates: usize,
-    /// Number of logical operations touching three or more qudits (before
-    /// expansion).
+    /// Number of operations touching three or more qudits. In a lowered
+    /// list these are the operations the decomposition could not lower.
     pub three_plus_qudit_ops: usize,
-    /// Logical depth: number of moments with operations counted as-is.
+    /// Number of moments of the as-early-as-possible schedule.
     pub logical_depth: usize,
-    /// Physical depth: logical depth with each ≥3-qudit moment expanded by
-    /// the configured weight.
+    /// The frame depth when the list carries a frame partition (a lowered
+    /// circuit; see [`FrameSchedule::physical_depth`]), the ASAP depth
+    /// otherwise.
     pub physical_depth: usize,
 }
 
-/// Computes the costs of a circuit under the given expansion weights.
-pub fn analyze(circuit: &Circuit, weights: CostWeights) -> CircuitCosts {
-    let schedule = Schedule::asap(circuit);
-    let logical_depth = schedule.depth();
-
-    let mut one_q = 0usize;
-    let mut two_q = 0usize;
-    let mut three_plus = 0usize;
-    for op in circuit.iter() {
-        match op.arity() {
-            0 => {}
-            1 => one_q += 1,
-            2 => two_q += 1,
-            _ => {
-                three_plus += 1;
-                two_q += weights.two_qudit_per_three_qudit_op;
-                one_q += weights.one_qudit_per_three_qudit_op;
-            }
+impl CircuitCosts {
+    /// Counts a list of operations on `width` qudits, each given as the
+    /// qudits it touches: one-qudit ops are those of arity 1, two-qudit ops
+    /// those of arity ≥ 2 and `three_plus_qudit_ops` those of arity ≥ 3.
+    /// `frames`, when given, is the list's frame partition and sets the
+    /// physical depth.
+    pub(crate) fn count(
+        width: usize,
+        supports: &[Vec<usize>],
+        frames: Option<&FrameSchedule>,
+    ) -> CircuitCosts {
+        let (logical_depth, _) = Schedule::asap_layers(width, supports);
+        let arity_at_least = |k: usize| supports.iter().filter(|q| q.len() >= k).count();
+        CircuitCosts {
+            width,
+            total_ops: supports.len(),
+            one_qudit_gates: supports.iter().filter(|q| q.len() == 1).count(),
+            two_qudit_gates: arity_at_least(2),
+            three_plus_qudit_ops: arity_at_least(3),
+            logical_depth,
+            physical_depth: frames.map_or(logical_depth, FrameSchedule::physical_depth),
         }
-    }
-
-    // Physical depth: each moment contributes 1 if it only has 1- or 2-qudit
-    // gates, or the expansion depth if it contains a ≥3-qudit operation.
-    let mut physical_depth = 0usize;
-    for (m, op_indices) in schedule.iter() {
-        let _ = m;
-        let has_three = op_indices
-            .iter()
-            .any(|&i| circuit.operations()[i].arity() >= 3);
-        physical_depth += if has_three {
-            weights.depth_per_three_qudit_op
-        } else {
-            1
-        };
-    }
-
-    CircuitCosts {
-        width: circuit.width(),
-        total_ops: circuit.len(),
-        one_qudit_gates: one_q,
-        two_qudit_gates: two_q,
-        three_plus_qudit_ops: three_plus,
-        logical_depth,
-        physical_depth,
-    }
-}
-
-/// Computes costs with the paper's Di & Wei expansion (the default).
-pub fn analyze_default(circuit: &Circuit) -> CircuitCosts {
-    analyze(circuit, CostWeights::default())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::gate::Gate;
-    use crate::operation::Control;
-
-    fn three_qutrit_op_circuit() -> Circuit {
-        let mut c = Circuit::new(3, 3);
-        c.push_controlled(
-            Gate::increment(3),
-            &[Control::on_one(0), Control::on_two(1)],
-            &[2],
-        )
-        .unwrap();
-        c
-    }
-
-    #[test]
-    fn logical_weights_do_not_expand() {
-        let c = three_qutrit_op_circuit();
-        let costs = analyze(&c, CostWeights::logical());
-        assert_eq!(costs.two_qudit_gates, 1);
-        assert_eq!(costs.one_qudit_gates, 0);
-        assert_eq!(costs.physical_depth, 1);
-        assert_eq!(costs.three_plus_qudit_ops, 1);
-    }
-
-    #[test]
-    fn di_wei_weights_expand_three_qutrit_ops() {
-        let c = three_qutrit_op_circuit();
-        let costs = analyze_default(&c);
-        assert_eq!(costs.two_qudit_gates, 6);
-        assert_eq!(costs.one_qudit_gates, 7);
-        assert_eq!(costs.physical_depth, 6);
-    }
-
-    #[test]
-    fn mixed_circuit_counts() {
-        let mut c = three_qutrit_op_circuit();
-        c.push_gate(Gate::x(3), &[0]).unwrap();
-        c.push_controlled(Gate::x(3), &[Control::on_one(1)], &[2])
-            .unwrap();
-        let costs = analyze_default(&c);
-        assert_eq!(costs.total_ops, 3);
-        assert_eq!(costs.one_qudit_gates, 7 + 1);
-        assert_eq!(costs.two_qudit_gates, 6 + 1);
-        // Moment 1: the 3-qutrit op (depth 6). Moment 2: X(0) and C X(1;2)
-        // run in parallel (depth 1).
-        assert_eq!(costs.logical_depth, 2);
-        assert_eq!(costs.physical_depth, 7);
-    }
-
-    #[test]
-    fn empty_circuit_has_zero_costs() {
-        let c = Circuit::new(3, 4);
-        let costs = analyze_default(&c);
-        assert_eq!(costs.total_ops, 0);
-        assert_eq!(costs.physical_depth, 0);
-        assert_eq!(costs.two_qudit_gates, 0);
-    }
-
-    #[test]
-    fn default_weights_are_di_wei() {
-        assert_eq!(CostWeights::default(), CostWeights::di_wei());
     }
 }

@@ -32,19 +32,24 @@
 //! bring the single-qudit count to the 7 sites the paper's accounting
 //! charges (3 on `a`, 2 on `b`, 2 on `t`), giving a block of exactly
 //! **6 two-qudit + 7 single-qudit gates whose ASAP schedule has 6
-//! two-qudit layers** — the numbers `CostWeights::di_wei` has always
-//! inferred, now realised by a concrete circuit.
+//! two-qudit layers** — the paper's numbers, realised by a concrete
+//! circuit that [`crate::ResourceReport`] counts.
 //!
 //! Operations with more than two controls (they only arise from degenerate
 //! all-`|2⟩` control subtrees) are lowered by the same commutator identity
-//! recursively: split off one control, recurse on the rest. Multi-target
-//! operations of arity ≥ 3 are not supported (none of the paper's
-//! constructions produce one).
+//! recursively: split off one control, recurse on the rest. Each level
+//! emits up to three factors with one control fewer, so `m` controls lower
+//! to at most 14·3^(m−2) − 1 operations; lowering stops at
+//! [`MAX_LOWERED_CONTROLS`]. Multi-target operations of
+//! arity ≥ 3 are not supported (none of the paper's constructions produce
+//! one).
 
 use crate::error::{CircuitError, CircuitResult};
 use crate::gate::Gate;
 use crate::operation::{Control, Operation};
 use qudit_core::{eig_unitary, CMatrix, Complex};
+use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Tolerance for the spectral decomposition of target gates.
 const DECOMP_TOL: f64 = 1e-11;
@@ -56,6 +61,24 @@ pub const DI_WEI_TWO_QUDIT_GATES: usize = 6;
 /// The number of single-qudit gates a lowered doubly-controlled block
 /// contains — the paper's Di & Wei count.
 pub const DI_WEI_ONE_QUDIT_GATES: usize = 7;
+
+/// The most controls an operation may carry and still be lowered: eight
+/// controls lower to 10 205 operations, and every further control
+/// triples that.
+pub const MAX_LOWERED_CONTROLS: usize = 8;
+
+/// The most operations [`decompose_operation`] turns `op` into: 14·3^(m−2)
+/// − 1 for a single-target op with `2 ≤ m ≤` [`MAX_LOWERED_CONTROLS`]
+/// controls (the Di & Wei block of 13 at `m = 2`, then `f(m) = 3·f(m−1) +
+/// 2`, with equality whenever every recursion level needs its phase
+/// correction), and 1 for every op that passes through or is refused.
+pub(crate) fn lowered_op_bound(op: &Operation) -> usize {
+    let controls = op.controls().len();
+    if op.arity() <= 2 || op.targets().len() != 1 || controls > MAX_LOWERED_CONTROLS {
+        return 1;
+    }
+    14 * 3usize.pow(controls as u32 - 2) - 1
+}
 
 /// Spectral data shared by the two- and many-control lowerings.
 struct Spectral {
@@ -205,7 +228,8 @@ fn lower_many_controls(op: &Operation) -> CircuitResult<Vec<Operation>> {
 /// # Errors
 ///
 /// Returns [`CircuitError::UnsupportedOperation`] for multi-target
-/// operations of arity ≥ 3 (no paper construction produces one) and for
+/// operations of arity ≥ 3 (no paper construction produces one), for
+/// operations with more than [`MAX_LOWERED_CONTROLS`] controls, and for
 /// gates whose matrix cannot be diagonalised as a unitary.
 pub fn decompose_operation(op: &Operation) -> CircuitResult<Vec<Operation>> {
     if op.arity() <= 2 {
@@ -220,7 +244,16 @@ pub fn decompose_operation(op: &Operation) -> CircuitResult<Vec<Operation>> {
             ),
         });
     }
-    if op.controls().len() == 2 {
+    let controls = op.controls().len();
+    if controls > MAX_LOWERED_CONTROLS {
+        return Err(CircuitError::UnsupportedOperation {
+            reason: format!(
+                "cannot lower a {controls}-controlled operation \
+                 (at most {MAX_LOWERED_CONTROLS} controls are lowered)"
+            ),
+        });
+    }
+    if controls == 2 {
         return lower_two_controls(op);
     }
     let mut out = Vec::new();
@@ -228,6 +261,61 @@ pub fn decompose_operation(op: &Operation) -> CircuitResult<Vec<Operation>> {
         out.extend(decompose_operation(&factor)?);
     }
     Ok(out)
+}
+
+/// The qudits of each operation of the padded Di & Wei block on the
+/// qudits `(a, b, t) = (0, 1, 2)`, in emission order, taken once from
+/// [`lower_two_controls`]: the layout depends on neither the gate nor the
+/// control levels.
+fn block_layout() -> &'static [Vec<usize>] {
+    static LAYOUT: OnceLock<Vec<Vec<usize>>> = OnceLock::new();
+    LAYOUT.get_or_init(|| {
+        let controls = vec![Control::on_one(0), Control::on_one(1)];
+        let op = Operation::new(Gate::x(2), controls, vec![2]).expect("distinct qudits");
+        let block = lower_two_controls(&op).expect("X diagonalises");
+        block.iter().map(Operation::qudits).collect()
+    })
+}
+
+/// The qudits of each operation [`decompose_operation`] turns `ops` into,
+/// in emission order and in [`Operation::qudits`] order (controls first),
+/// with the range of lowered positions of every input operation: what
+/// counting the lowered list needs. A doubly-controlled operation takes
+/// the [`block_layout`] when its gate diagonalises (the one way its
+/// lowering can fail; checked once per distinct matrix), so its gates are
+/// never built; every other operation is lowered, and one that cannot be
+/// stays itself.
+pub(crate) fn lowered_supports<'a>(
+    ops: impl IntoIterator<Item = &'a Operation>,
+) -> (Vec<Vec<usize>>, Vec<(usize, usize)>) {
+    let mut diagonalises = HashMap::new();
+    let mut supports: Vec<Vec<usize>> = Vec::new();
+    let mut ranges: Vec<(usize, usize)> = Vec::new();
+    for op in ops {
+        let start = supports.len();
+        let (controls, targets) = (op.controls(), op.targets());
+        if controls.len() == 2 && targets.len() == 1 {
+            let matrix = op.gate().matrix().as_slice().iter();
+            let key: Vec<(u64, u64)> = matrix.map(|z| (z.re.to_bits(), z.im.to_bits())).collect();
+            let lowerable = *diagonalises
+                .entry(key)
+                .or_insert_with(|| spectral(op.gate()).is_ok());
+            if lowerable {
+                let qudits = [controls[0].qudit, controls[1].qudit, targets[0]];
+                let relabel = |support: &Vec<usize>| support.iter().map(|&q| qudits[q]).collect();
+                supports.extend(block_layout().iter().map(relabel));
+            } else {
+                supports.push(op.qudits());
+            }
+        } else {
+            match decompose_operation(op) {
+                Ok(seq) => supports.extend(seq.iter().map(Operation::qudits)),
+                Err(_) => supports.push(op.qudits()),
+            }
+        }
+        ranges.push((start, supports.len()));
+    }
+    (supports, ranges)
 }
 
 #[cfg(test)]
@@ -413,6 +501,74 @@ mod tests {
             decompose_operation(&op),
             Err(CircuitError::UnsupportedOperation { .. })
         ));
+    }
+
+    fn controlled_on_ones(gate: Gate, controls: usize) -> Operation {
+        Operation::new(
+            gate,
+            (0..controls).map(Control::on_one).collect(),
+            vec![controls],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn lowered_op_count_meets_the_closed_form_bound() {
+        for m in 2..=MAX_LOWERED_CONTROLS {
+            let x = controlled_on_ones(Gate::x(2), m);
+            let bound = lowered_op_bound(&x);
+            assert_eq!(
+                decompose_operation(&x).unwrap().len(),
+                bound,
+                "dim-2 X, {m} controls"
+            );
+            let inc = controlled_on_ones(Gate::increment(3), m);
+            assert_eq!(lowered_op_bound(&inc), bound);
+            let lowered = decompose_operation(&inc).unwrap().len();
+            assert!(lowered <= bound, "increment(3) with {m} controls");
+        }
+        assert_eq!(lowered_op_bound(&controlled_on_ones(Gate::x(2), 2)), 13);
+        assert_eq!(lowered_op_bound(&controlled_on_ones(Gate::x(2), 8)), 10_205);
+        // One control more is refused before any eigendecomposition, and
+        // so stays one operation.
+        let over = controlled_on_ones(Gate::x(2), MAX_LOWERED_CONTROLS + 1);
+        assert_eq!(lowered_op_bound(&over), 1);
+        assert!(matches!(
+            decompose_operation(&over),
+            Err(CircuitError::UnsupportedOperation { .. })
+        ));
+    }
+
+    #[test]
+    fn lowered_supports_match_the_emitted_operations() {
+        let x3 =
+            |controls: Vec<Control>, target| Operation::new(Gate::x(3), controls, vec![target]);
+        let ops = [
+            x3(vec![Control::on_one(2), Control::on_two(0)], 1).unwrap(),
+            // The same gate again, on other qudits and levels.
+            x3(vec![Control::on_two(1), Control::on_one(3)], 0).unwrap(),
+            Operation::new(
+                Gate::increment(3),
+                vec![Control::on_one(3), Control::on_one(1), Control::on_two(0)],
+                vec![2],
+            )
+            .unwrap(),
+            controlled_on_ones(Gate::x(2), 4),
+            controlled_on_ones(Gate::x(2), MAX_LOWERED_CONTROLS + 1),
+            Operation::new(Gate::swap(3), vec![Control::on_one(0)], vec![1, 2]).unwrap(),
+            x3(vec![Control::on_one(0)], 1).unwrap(),
+        ];
+        let mut emitted: Vec<Vec<usize>> = Vec::new();
+        let mut ranges = Vec::new();
+        for op in &ops {
+            let start = emitted.len();
+            match decompose_operation(op) {
+                Ok(seq) => emitted.extend(seq.iter().map(Operation::qudits)),
+                Err(_) => emitted.push(op.qudits()),
+            }
+            ranges.push((start, emitted.len()));
+        }
+        assert_eq!(lowered_supports(&ops), (emitted, ranges));
     }
 
     #[test]

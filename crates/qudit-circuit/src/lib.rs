@@ -42,14 +42,12 @@ mod serde_impls;
 pub mod topology;
 
 pub use circuit::Circuit;
-pub use cost::{analyze, analyze_default, CircuitCosts, CostWeights};
+pub use cost::CircuitCosts;
 pub use decompose::decompose_operation;
 pub use error::{CircuitError, CircuitResult};
 pub use gate::Gate;
 pub use operation::{Control, Operation};
 pub use passes::{DecompositionPass, KernelClass, PassLevel, ResourceReport, RoutedCosts};
 pub use routing::{RoutingPass, RoutingSummary};
-pub use schedule::{
-    circuit_depth, Frame, FrameDuration, FrameSchedule, Moment, MomentDuration, Schedule,
-};
+pub use schedule::{circuit_depth, Frame, FrameDuration, FrameSchedule, Moment, Schedule};
 pub use topology::{Topology, TopologyKind};

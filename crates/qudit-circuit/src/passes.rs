@@ -38,19 +38,20 @@
 //! * [`PassLevel::Ideal`] — the full pipeline, valid for noise-free runs
 //!   only, where unitary equivalence is the only obligation.
 //!
-//! [`ResourceReport`] measures gate counts, two-qudit counts and depth
-//! before and after the pipeline; the bench binaries regenerating the
-//! paper's figures produce their count columns through it.
+//! [`ResourceReport`] counts gates, two-qudit gates and depth of the
+//! pipeline's output and of its Di & Wei lowering; the bench binaries
+//! regenerating the paper's figures produce their count columns through it.
 
 use crate::circuit::Circuit;
-use crate::cost::{analyze, CircuitCosts, CostWeights};
-use crate::decompose::decompose_operation;
+use crate::cost::CircuitCosts;
+use crate::decompose::{decompose_operation, lowered_op_bound, lowered_supports};
 use crate::gate::Gate;
 use crate::operation::Operation;
 use crate::routing::{RoutingPass, RoutingSummary};
 use crate::schedule::{Frame, FrameDuration, FrameSchedule, Schedule};
 use crate::topology::Topology;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Tolerance for structural matrix classification (permutation / diagonal /
 /// identity detection) and inverse-pair recognition. Shared with the
@@ -396,10 +397,10 @@ impl Pass for DecompositionPass {
 
     fn run(&self, ir: &mut CircuitIr) -> PassStats {
         let ops_before = ir.circuit.len();
-        let has_high_arity = ir.circuit.iter().any(|op| op.arity() >= 3);
-        if !has_high_arity && ir.frames.is_some() {
-            // Fixpoint round after the lowering: the frames recorded in the
-            // first round are still valid — leave them alone.
+        if ir.frames.is_some() {
+            // Fixpoint round after the lowering: no pass changed the list
+            // since, so the frames recorded in the first round are still
+            // valid and the ops it could not lower still cannot be.
             return PassStats {
                 pass: self.name(),
                 round: 0,
@@ -410,7 +411,6 @@ impl Pass for DecompositionPass {
             };
         }
 
-        let dim = ir.circuit.dim();
         let width = ir.circuit.width();
         let schedule = ir.schedule().clone();
         let mut new_ops: Vec<Operation> = Vec::with_capacity(ops_before);
@@ -434,24 +434,14 @@ impl Pass for DecompositionPass {
             ranges.push((start, new_ops.len()));
         }
 
-        let frames: Vec<Frame> = schedule
-            .iter()
-            .map(|(_, op_indices)| {
-                let mut frame_ops: Vec<usize> = Vec::new();
-                for &i in op_indices {
-                    frame_ops.extend(ranges[i].0..ranges[i].1);
-                }
-                frame_ops.sort_unstable();
-                let duration = measure_frame_duration(dim, width, &new_ops, &frame_ops);
-                Frame::new(frame_ops, duration)
-            })
-            .collect();
+        let supports: Vec<Vec<usize>> = new_ops.iter().map(Operation::qudits).collect();
+        let frames = frames_of(width, &schedule, &ranges, &supports);
 
         let ops_after = new_ops.len();
         if ops_after != ops_before {
             ir.replace_ops(new_ops);
         }
-        ir.frames = Some(FrameSchedule::new(frames));
+        ir.frames = Some(frames);
         PassStats {
             pass: self.name(),
             round: 0,
@@ -463,22 +453,37 @@ impl Pass for DecompositionPass {
     }
 }
 
+/// The frame partition of a lowered list: one frame per moment of the
+/// unlowered circuit's `schedule`, holding the lowered operations of its
+/// members (`ranges[i]` are those of operation `i`) and their measured
+/// duration. `supports` are the qudits each lowered operation touches.
+fn frames_of(
+    width: usize,
+    schedule: &Schedule,
+    ranges: &[(usize, usize)],
+    supports: &[Vec<usize>],
+) -> FrameSchedule {
+    let frames = schedule.iter().map(|(_, op_indices)| {
+        let mut frame_ops: Vec<usize> = op_indices
+            .iter()
+            .flat_map(|&i| ranges[i].0..ranges[i].1)
+            .collect();
+        frame_ops.sort_unstable();
+        let duration = measure_frame_duration(width, supports, &frame_ops);
+        Frame::new(frame_ops, duration)
+    });
+    FrameSchedule::new(frames.collect())
+}
+
 /// Measures one frame's duration: the number of two-qudit layers its
 /// operations occupy under ASAP scheduling (single-qudit-only layers are
 /// absorbed — the paper's "the single-qudit gates interleave" accounting).
-pub(crate) fn measure_frame_duration(
-    dim: usize,
+fn measure_frame_duration(
     width: usize,
-    ops: &[Operation],
+    supports: &[Vec<usize>],
     indices: &[usize],
 ) -> FrameDuration {
-    let sub: Vec<Operation> = indices.iter().map(|&i| ops[i].clone()).collect();
-    let sub_circuit = Circuit::from_ops(dim, width, sub);
-    let layers = Schedule::asap(&sub_circuit)
-        .moments()
-        .iter()
-        .filter(|m| m.max_arity() >= 2)
-        .count();
+    let (_, layers) = Schedule::asap_layers(width, indices.iter().map(|&i| &supports[i]));
     if layers == 0 {
         FrameDuration::SingleQudit
     } else {
@@ -759,7 +764,7 @@ pub struct RoutedCosts {
 }
 
 /// The resource analysis of one circuit: the paper's count columns (gate
-/// counts, two-qudit gate count, depth) at logical and physical (Di & Wei)
+/// counts, two-qudit gate count, depth) at logical and physical
 /// granularity, plus the kernel-class histogram and — when compilation ran
 /// under a connectivity [`Topology`] — the routed columns.
 ///
@@ -767,26 +772,31 @@ pub struct RoutedCosts {
 /// binaries print for Figures 9–10 and the constructions' cost tables; ad
 /// hoc counting at call sites is what it replaces.
 ///
-/// ## Inferred vs measured physical costs (lowering at high arity)
+/// Both columns apply one counting rule ([`CircuitCosts`]). The logical
+/// column counts the circuit as given; the physical column counts its
+/// actual [`PassLevel::Physical`] lowering, where every ≥3-qudit operation
+/// is a Di & Wei block of real two- and one-qudit gates and the depth is
+/// the measured frame depth. At arity 3 a block is the paper's 6 two-qudit
+/// and 7 single-qudit gates, 6 layers deep; higher arities lower
+/// recursively and are counted as emitted.
 ///
-/// [`ResourceReport::measure`] *infers* the physical column from the flat
-/// Di & Wei per-operation weights ([`CostWeights::di_wei`]): every ≥3-qudit
-/// operation is charged the paper's fixed 6 two-qudit / 7 single-qudit
-/// constants regardless of arity. That matches the actual lowering only for
-/// arity 3. At arity ≥ 4 the decomposition recurses (a k-controlled gate
-/// lowers through (k−1)-controlled pieces), so the faithful physical
-/// numbers exceed the flat constants — at k = 4 the recursion emits 14
-/// two-qudit gates where the flat weights charge 6.
-/// [`ResourceReport::measure_physical`] counts the *actual* lowered
-/// operation list and is the faithful physical accounting; prefer it
-/// whenever circuits may contain arity-≥4 operations.
+/// An operation that is not lowered stays in the lowered list as itself:
+/// it counts once as a two-qudit gate and shows up in
+/// `physical.three_plus_qudit_ops`, so a non-zero value there means the
+/// physical column is incomplete. That is a multi-target gate of arity
+/// ≥ 3 or one with more than [`crate::decompose::MAX_LOWERED_CONTROLS`]
+/// controls (noisy jobs on such a circuit are refused), and every
+/// ≥3-qudit operation of a logical-level [`CompiledIr::report`] whose
+/// lowering could exceed 65 536 operations: the report is paid per
+/// compiled job and must not expand a small job by orders of magnitude.
+/// [`ResourceReport::measure`] always lowers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ResourceReport {
-    /// Costs with ≥3-qudit operations counted as single logical gates.
+    /// Costs of the operation list as given.
     pub logical: CircuitCosts,
-    /// Costs under the paper's Di & Wei expansion of ≥3-qudit operations.
+    /// Costs of the operation list's Di & Wei lowering.
     pub physical: CircuitCosts,
-    /// Kernel-class histogram of the operation list.
+    /// Kernel-class histogram of the operation list as given.
     pub kernels: KernelCounts,
     /// Routed count columns; `None` unless compilation ran under a
     /// connectivity topology.
@@ -794,43 +804,23 @@ pub struct ResourceReport {
 }
 
 impl ResourceReport {
-    /// Measures a circuit. The physical column is *inferred* from the flat
-    /// Di & Wei cost weights ([`CostWeights::di_wei`]), which understate
-    /// the recursive lowering of arity-≥4 operations; see
-    /// [`ResourceReport::measure_physical`] for the measured (faithful)
-    /// counterpart.
+    /// Measures a circuit: the logical column and kernel histogram count
+    /// `circuit` itself, the physical column counts its
+    /// [`PassLevel::Physical`] lowering, however large.
     pub fn measure(circuit: &Circuit) -> Self {
         let tags: Vec<KernelClass> = circuit.iter().map(KernelClass::of_operation).collect();
-        ResourceReport::from_parts(circuit, &tags)
+        let physical = lowered_costs(circuit, &Schedule::asap(circuit), usize::MAX);
+        ResourceReport::count(circuit, &tags, physical)
     }
 
-    /// Measures a circuit with the physical column taken from the *actual*
-    /// lowered circuit: the pipeline runs [`PassLevel::Physical`] and the
-    /// two-qudit count, single-qudit count and physical depth are counted
-    /// on the Di & Wei-expanded operation list and its frame schedule,
-    /// rather than inferred from per-arity weights. The logical column and
-    /// `total_ops` still describe the input circuit.
-    ///
-    /// These are the **faithful physical numbers**: for arity-≥4 operations
-    /// the recursive lowering exceeds the flat Di & Wei constants that
-    /// [`ResourceReport::measure`] charges (14 vs 6 two-qudit gates at
-    /// k = 4), and this report reflects what is actually executed.
-    pub fn measure_physical(circuit: &Circuit) -> Self {
-        let ir = compile(circuit, PassLevel::Physical);
+    /// The one constructor: the logical column counts `circuit`, `physical`
+    /// is the column counted on its lowering and `tags` are the
+    /// per-operation kernel classes (the pipeline reuses the specialization
+    /// pass's tags rather than reclassifying).
+    fn count(circuit: &Circuit, tags: &[KernelClass], physical: CircuitCosts) -> Self {
         ResourceReport {
-            logical: analyze(circuit, CostWeights::logical()),
-            physical: ir.report().post.physical,
-            kernels: ir.report().post.kernels,
-            routed: None,
-        }
-    }
-
-    /// Builds the report from already-computed kernel tags (the pipeline
-    /// reuses the specialization pass's tags rather than reclassifying).
-    fn from_parts(circuit: &Circuit, tags: &[KernelClass]) -> Self {
-        ResourceReport {
-            logical: analyze(circuit, CostWeights::logical()),
-            physical: analyze(circuit, CostWeights::di_wei()),
+            logical: CircuitCosts::count(circuit.width(), &supports(circuit), None),
+            physical,
             kernels: KernelCounts::from_tags(tags),
             routed: None,
         }
@@ -842,13 +832,13 @@ impl ResourceReport {
         self.logical.total_ops
     }
 
-    /// The paper's two-qudit gate-count column (Di & Wei expansion).
+    /// The paper's two-qudit gate-count column (Di & Wei lowering).
     pub fn two_qudit_gates(&self) -> usize {
         self.physical.two_qudit_gates
     }
 
-    /// The paper's circuit-depth column (physical moments, Di & Wei
-    /// expansion).
+    /// The paper's circuit-depth column (physical moments of the Di & Wei
+    /// lowering).
     pub fn depth(&self) -> usize {
         self.physical.physical_depth
     }
@@ -881,14 +871,48 @@ impl fmt::Display for ResourceReport {
     }
 }
 
-/// Everything the pipeline did to one circuit: resources before and after,
+/// The most operations a pipeline report lowers its circuit into for the
+/// physical column, counted by the per-operation bound before any lowering.
+/// The report is paid once per compiled job, so a small job must not expand
+/// into millions of operations just to be counted: seven 8-controlled
+/// operations already exceed this, while the 200-bit incrementer (about
+/// 11 000 lowered operations) stays well below it.
+const MAX_REPORT_LOWERED_OPS: usize = 1 << 16;
+
+/// The qudits each operation of `circuit` touches, in op order.
+fn supports(circuit: &Circuit) -> Vec<Vec<usize>> {
+    circuit.iter().map(Operation::qudits).collect()
+}
+
+/// The physical column of an unlowered circuit, given its ASAP `schedule`:
+/// the counts of its [`PassLevel::Physical`] lowering. The decomposition
+/// is the only pass of that pipeline that changes a list (within-moment
+/// fusion never fuses, as a moment touches every qudit once; repacking and
+/// specialization only analyse), so its output is counted: the qudits of
+/// every operation it emits ([`lowered_supports`], which builds no Di & Wei
+/// block's gates) under the frame partition [`DecompositionPass`] records.
+/// When the lowering could exceed `budget` operations (by the per-operation
+/// bound, checked before any lowering) nothing is lowered and the circuit
+/// is counted as given: its ≥3-qudit operations then show up in
+/// `three_plus_qudit_ops`, like any operation the decomposition cannot
+/// lower.
+fn lowered_costs(circuit: &Circuit, schedule: &Schedule, budget: usize) -> CircuitCosts {
+    let width = circuit.width();
+    let bound = circuit.iter().map(lowered_op_bound);
+    if bound.fold(0, usize::saturating_add) > budget {
+        return CircuitCosts::count(width, &supports(circuit), None);
+    }
+    let (lowered, ranges) = lowered_supports(circuit.iter());
+    let frames = frames_of(width, schedule, &ranges, &lowered);
+    CircuitCosts::count(width, &lowered, Some(&frames))
+}
+
+/// Everything the pipeline did to one circuit: the resources of its output
 /// and per-pass statistics in execution order.
 #[derive(Clone, Debug)]
 pub struct PipelineReport {
     /// The level the pipeline ran at.
     pub level: PassLevel,
-    /// Resources of the input circuit.
-    pub pre: ResourceReport,
     /// Resources of the transformed circuit.
     pub post: ResourceReport,
     /// Statistics of every pass invocation, in order.
@@ -898,7 +922,6 @@ pub struct PipelineReport {
 impl fmt::Display for PipelineReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "pass pipeline ({} level):", self.level.name())?;
-        writeln!(f, "  pre:  {}", self.pre)?;
         writeln!(f, "  post: {}", self.post)?;
         // Show every invocation that changed the circuit, plus the final
         // (informational) invocation of each pass.
@@ -1029,7 +1052,6 @@ impl PassManager {
     /// list any more (cancellation exposes new fusion opportunities and vice
     /// versa — nested `U V V† U†` structures unwrap one layer per round).
     pub fn compile(&self, circuit: &Circuit) -> CompiledIr {
-        let pre = ResourceReport::measure(circuit);
         let mut ir = CircuitIr::new(circuit);
         let mut all_stats: Vec<PassStats> = Vec::new();
         // Transformation passes iterate to a fixpoint (each round either
@@ -1060,37 +1082,16 @@ impl PassManager {
             .kernel_tags
             .take()
             .unwrap_or_else(|| ir.circuit.iter().map(KernelClass::of_operation).collect());
-        let frames = ir.frames.take();
-        let routing = ir.routing.take();
-        // The post report reuses the tags the pipeline just computed
-        // instead of reclassifying every matrix. When a frame partition
-        // exists, the physical depth is the measured frame depth (the raw
-        // ASAP depth of a lowered circuit both understates it — blocks can
-        // stagger — and overstates it — padding singles spill a layer).
-        let mut post = ResourceReport::from_parts(&ir.circuit, &kernel_tags);
-        if let Some(frames) = &frames {
-            post.physical.physical_depth = frames.physical_depth();
-        }
-        if let Some(summary) = &routing {
-            post.routed = Some(RoutedCosts {
-                inserted_swaps: summary.inserted_swaps,
-                routed_two_qudit_gates: post.physical.two_qudit_gates,
-                routed_depth: post.physical.physical_depth,
-            });
-        }
         CompiledIr {
             schedule: ir.schedule.take().expect("materialised above"),
             circuit: ir.circuit,
             kernel_tags,
-            frames,
-            routing,
+            frames: ir.frames.take(),
+            routing: ir.routing.take(),
             topology: self.topology.clone(),
-            report: PipelineReport {
-                level: self.level,
-                pre,
-                post,
-                passes: all_stats,
-            },
+            level: self.level,
+            passes: all_stats,
+            report: OnceLock::new(),
         }
     }
 }
@@ -1111,7 +1112,12 @@ pub struct CompiledIr {
     frames: Option<FrameSchedule>,
     routing: Option<RoutingSummary>,
     topology: Option<Topology>,
-    report: PipelineReport,
+    level: PassLevel,
+    passes: Vec<PassStats>,
+    /// Built by the first [`CompiledIr::report`] call: at the logical
+    /// levels its physical column counts the circuit's lowering, which a
+    /// caller that only simulates never needs.
+    report: OnceLock<PipelineReport>,
 }
 
 impl CompiledIr {
@@ -1155,14 +1161,43 @@ impl CompiledIr {
         self.routing.as_ref()
     }
 
-    /// The pipeline report (pre/post resources, per-pass statistics).
-    pub fn report(&self) -> &PipelineReport {
-        &self.report
+    /// The level the pipeline ran at.
+    pub fn level(&self) -> PassLevel {
+        self.level
     }
 
-    /// Decomposes into the owned circuit, schedule and report.
-    pub fn into_parts(self) -> (Circuit, Schedule, PipelineReport) {
-        (self.circuit, self.schedule, self.report)
+    /// The pipeline report (output resources, per-pass statistics), built
+    /// on first use and kept.
+    pub fn report(&self) -> &PipelineReport {
+        self.report.get_or_init(|| {
+            // The report reuses the tags the pipeline computed instead of
+            // reclassifying every matrix. A frame partition means the
+            // output is already lowered and is counted as is, with the
+            // measured frame depth (the raw ASAP depth of a lowered circuit
+            // both understates it — blocks can stagger — and overstates it
+            // — padding singles spill a layer); the logical levels count
+            // the circuit's lowering, within `MAX_REPORT_LOWERED_OPS`.
+            let circuit = &self.circuit;
+            let physical = match &self.frames {
+                Some(frames) => {
+                    CircuitCosts::count(circuit.width(), &supports(circuit), Some(frames))
+                }
+                None => lowered_costs(circuit, &self.schedule, MAX_REPORT_LOWERED_OPS),
+            };
+            let mut post = ResourceReport::count(circuit, &self.kernel_tags, physical);
+            if let Some(summary) = &self.routing {
+                post.routed = Some(RoutedCosts {
+                    inserted_swaps: summary.inserted_swaps,
+                    routed_two_qudit_gates: post.physical.two_qudit_gates,
+                    routed_depth: post.physical.physical_depth,
+                });
+            }
+            PipelineReport {
+                level: self.level,
+                post,
+                passes: self.passes.clone(),
+            }
+        })
     }
 }
 
@@ -1428,7 +1463,7 @@ mod tests {
         let ir = compile(&c, PassLevel::Ideal);
         assert_eq!(ir.circuit().len(), 1);
         assert_eq!(ir.schedule().depth(), 1);
-        assert!(ir.report().post.depth() < ir.report().pre.depth());
+        assert!(ir.report().post.depth() < ResourceReport::measure(&c).depth());
     }
 
     #[test]
@@ -1496,6 +1531,51 @@ mod tests {
         assert_eq!(report.two_qudit_gates(), 3);
         assert_eq!(report.depth(), 3);
         assert_eq!(report.logical_depth(), 3);
+    }
+
+    #[test]
+    fn the_report_is_built_on_first_read() {
+        // Simulating a compiled circuit never needs its report, so compile
+        // does not count the lowering for the physical column up front.
+        let ir = compile(&toffoli_fig4(), PassLevel::Ideal);
+        assert!(ir.report.get().is_none());
+        let post = ir.report().post;
+        assert!(ir.report.get().is_some());
+        assert_eq!(post.total_ops(), ir.circuit().len());
+    }
+
+    #[test]
+    fn mixed_circuit_counts() {
+        // A three-qutrit op, then X(0) and C X(1;2) in parallel.
+        let mut c = Circuit::new(3, 3);
+        c.push_controlled(
+            Gate::increment(3),
+            &[Control::on_one(0), Control::on_two(1)],
+            &[2],
+        )
+        .unwrap();
+        c.push_gate(Gate::x(3), &[0]).unwrap();
+        c.push_controlled(Gate::x(3), &[Control::on_one(1)], &[2])
+            .unwrap();
+        let report = ResourceReport::measure(&c);
+        assert_eq!(report.total_ops(), 3);
+        assert_eq!(report.physical.one_qudit_gates, 7 + 1);
+        assert_eq!(report.physical.two_qudit_gates, 6 + 1);
+        assert_eq!(report.physical.three_plus_qudit_ops, 0);
+        // Frame 1: the lowered block (6 layers). Frame 2: X(0) and
+        // C X(1;2) in parallel (1 layer).
+        assert_eq!(report.logical_depth(), 2);
+        assert_eq!(report.depth(), 7);
+        assert_eq!(report.logical.two_qudit_gates, 2);
+        assert_eq!(report.logical.three_plus_qudit_ops, 1);
+    }
+
+    #[test]
+    fn empty_circuit_has_zero_costs() {
+        let report = ResourceReport::measure(&Circuit::new(3, 4));
+        assert_eq!(report.total_ops(), 0);
+        assert_eq!(report.depth(), 0);
+        assert_eq!(report.two_qudit_gates(), 0);
     }
 
     #[test]

@@ -9,25 +9,6 @@
 use crate::circuit::Circuit;
 use crate::operation::Operation;
 
-/// The duration class of one schedule moment — the quantity the paper's
-/// idle-error accounting is driven by (a moment lasts as long as its
-/// slowest gate).
-///
-/// This is the *single source of truth* shared by the compiler passes and
-/// the noise accounting in `qudit-noise`: both ask the [`Moment`] directly
-/// instead of re-deriving the class from gate arities.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MomentDuration {
-    /// Only single-qudit gates: one single-qudit gate time.
-    SingleQudit,
-    /// Contains a gate touching ≥ 2 qudits: one two-qudit gate time.
-    MultiQudit,
-    /// Contains an operation touching ≥ 3 qudits *and* the caller accounts
-    /// such operations by their Di & Wei decomposition: six two-qudit gate
-    /// times.
-    ExpandedMultiQudit,
-}
-
 /// A set of operation indices that execute simultaneously.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Moment {
@@ -52,19 +33,6 @@ impl Moment {
     /// The largest arity among the moment's operations (0 when empty).
     pub fn max_arity(&self) -> usize {
         self.max_arity
-    }
-
-    /// The moment's duration class. `expand_three_qudit` selects whether
-    /// ≥ 3-qudit operations are accounted at their Di & Wei decomposition
-    /// length (six two-qudit gate times) or as a single two-qudit slot.
-    pub fn duration(&self, expand_three_qudit: bool) -> MomentDuration {
-        if expand_three_qudit && self.max_arity >= 3 {
-            MomentDuration::ExpandedMultiQudit
-        } else if self.max_arity >= 2 {
-            MomentDuration::MultiQudit
-        } else {
-            MomentDuration::SingleQudit
-        }
     }
 
     /// Records an operation in the moment.
@@ -99,6 +67,31 @@ impl Schedule {
         }
 
         Schedule { moments }
+    }
+
+    /// The depth of the as-early-as-possible schedule of a sequence of
+    /// operations on `width` qudits, each given as the qudits it touches,
+    /// and how many of its moments hold a multi-qudit operation — what
+    /// [`Schedule::asap`] would lay out, without building the moments.
+    pub(crate) fn asap_layers<Q: AsRef<[usize]>>(
+        width: usize,
+        supports: impl IntoIterator<Item = Q>,
+    ) -> (usize, usize) {
+        let mut frontier = vec![0usize; width];
+        let mut multi_qudit: Vec<bool> = Vec::new();
+        for qudits in supports {
+            let qudits = qudits.as_ref();
+            let slot = qudits.iter().map(|&q| frontier[q]).max().unwrap_or(0);
+            if multi_qudit.len() <= slot {
+                multi_qudit.resize(slot + 1, false);
+            }
+            multi_qudit[slot] |= qudits.len() >= 2;
+            for &q in qudits {
+                frontier[q] = slot + 1;
+            }
+        }
+        let layers = multi_qudit.iter().filter(|&&multi| multi).count();
+        (multi_qudit.len(), layers)
     }
 
     /// Schedules the circuit serially: one operation per moment.
@@ -241,20 +234,19 @@ impl FrameSchedule {
         self.frames.iter().map(|f| f.duration().depth()).sum()
     }
 
-    /// Frames for an *unlowered* circuit, one per schedule moment, with
-    /// durations from [`Moment::duration`]: this is the virtual accounting
-    /// the deprecated `GateExpansion` shim preserves (`expand_three_qudit`
-    /// maps a ≥3-qudit moment to the Di & Wei constant of 6 layers instead
-    /// of a measured count).
-    pub fn from_moments(schedule: &Schedule, expand_three_qudit: bool) -> FrameSchedule {
+    /// Frames for an *unlowered* circuit, one per schedule moment: the
+    /// logical-granularity accounting, where a moment holding a
+    /// multi-qudit operation (≥3-qudit ones included) lasts one two-qudit
+    /// slot and any other moment one single-qudit gate time.
+    pub fn from_moments(schedule: &Schedule) -> FrameSchedule {
         let frames = schedule
             .moments()
             .iter()
             .map(|m| {
-                let duration = match m.duration(expand_three_qudit) {
-                    MomentDuration::SingleQudit => FrameDuration::SingleQudit,
-                    MomentDuration::MultiQudit => FrameDuration::TwoQuditLayers(1),
-                    MomentDuration::ExpandedMultiQudit => FrameDuration::TwoQuditLayers(6),
+                let duration = if m.max_arity() >= 2 {
+                    FrameDuration::TwoQuditLayers(1)
+                } else {
+                    FrameDuration::SingleQudit
                 };
                 Frame::new(m.op_indices.clone(), duration)
             })
@@ -362,21 +354,27 @@ mod tests {
         )
         .unwrap();
         let s = Schedule::asap(&c);
+        let frames = FrameSchedule::from_moments(&s);
         // Moment 0: an X and a 2-qudit CX in parallel.
-        let m0 = &s.moments()[0];
-        assert_eq!(m0.max_arity(), 2);
-        assert_eq!(m0.duration(true), MomentDuration::MultiQudit);
-        assert_eq!(m0.duration(false), MomentDuration::MultiQudit);
-        // Moment 1: the 3-qudit operation — expanded only under Di & Wei.
-        let m1 = &s.moments()[1];
-        assert_eq!(m1.max_arity(), 3);
-        assert_eq!(m1.duration(true), MomentDuration::ExpandedMultiQudit);
-        assert_eq!(m1.duration(false), MomentDuration::MultiQudit);
+        assert_eq!(s.moments()[0].max_arity(), 2);
+        assert_eq!(
+            frames.frames()[0].duration(),
+            FrameDuration::TwoQuditLayers(1)
+        );
+        // Moment 1: the 3-qudit operation — one two-qudit slot.
+        assert_eq!(s.moments()[1].max_arity(), 3);
+        assert_eq!(
+            frames.frames()[1].duration(),
+            FrameDuration::TwoQuditLayers(1)
+        );
 
         let mut single = Circuit::new(3, 1);
         single.push_gate(Gate::h(3), &[0]).unwrap();
-        let ss = Schedule::asap(&single);
-        assert_eq!(ss.moments()[0].duration(true), MomentDuration::SingleQudit);
+        let single_frames = FrameSchedule::from_moments(&Schedule::asap(&single));
+        assert_eq!(
+            single_frames.frames()[0].duration(),
+            FrameDuration::SingleQudit
+        );
     }
 
     #[test]

@@ -400,7 +400,7 @@ mod tests {
 
     #[test]
     fn resource_report_round_trips() {
-        let report = ResourceReport::measure_physical(&toffoli_fig4());
+        let report = ResourceReport::measure(&toffoli_fig4());
         let back: ResourceReport = json::from_str(&json::to_string(&report)).unwrap();
         assert_eq!(back, report);
     }

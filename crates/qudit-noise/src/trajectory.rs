@@ -307,7 +307,7 @@ impl NoiseProgram {
     /// and [`NoiseError::Simulation`] if a ≥3-qudit operation could not be
     /// lowered.
     pub(crate) fn from_ir(ir: &CompiledIr) -> NoiseResult<NoiseProgram> {
-        match ir.report().level {
+        match ir.level() {
             PassLevel::NoisePreserving => Ok(Self::logical_from_ir(ir)),
             PassLevel::Physical => {
                 let frames = ir
@@ -337,7 +337,7 @@ impl NoiseProgram {
     }
 
     fn logical_from_ir(ir: &CompiledIr) -> NoiseProgram {
-        let frames = FrameSchedule::from_moments(ir.schedule(), false);
+        let frames = FrameSchedule::from_moments(ir.schedule());
         let circuit = ir.circuit().clone();
         let sites = circuit.iter().map(logical_sites).collect();
         let frames = program_frames(&frames);

@@ -542,7 +542,7 @@ impl Simulator {
     /// Runs the pass pipeline at `level` over the circuit, then compiles
     /// the transformed IR through this simulator's plan cache. Returns the
     /// compiled circuit together with the pipeline output (transformed
-    /// op list, post-pass schedule, pre/post resource report).
+    /// op list, post-pass schedule, resource report).
     pub fn compile_optimized(
         &self,
         circuit: &Circuit,

@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("QUBIT", qubit_no_ancilla(n_controls, 2)?),
         ("QUBIT+ANCILLA", qubit_one_dirty_ancilla(n_controls, 2)?),
     ] {
-        let report = qutrits::circuit::ResourceReport::measure_physical(&circuit);
+        let report = qutrits::circuit::ResourceReport::measure(&circuit);
         println!(
             "{:<15} {:>8} {:>12} {:>12} {:>10}",
             name,

@@ -28,7 +28,7 @@
 use proptest::prelude::*;
 use qudit_api::{BackendKind, Executor, JobSpec};
 use qudit_circuit::passes::{compile, PassLevel};
-use qudit_circuit::{Circuit, Control, Gate, MomentDuration, Schedule};
+use qudit_circuit::{Circuit, Control, Gate, Schedule};
 use qudit_core::{random_qubit_subspace_state, random_state, StateVector};
 use qudit_noise::{models, InputState, NoiseModel};
 use qudit_sim::{reference, CompiledCircuit, DensityMatrix};
@@ -233,10 +233,13 @@ fn virtual_diwei_fidelity(circuit: &Circuit, model: &NoiseModel, input: &StateVe
                 }
             }
         }
-        let dt = match moment.duration(true) {
-            MomentDuration::SingleQudit => model.gate_time_1q,
-            MomentDuration::MultiQudit => model.gate_time_2q,
-            MomentDuration::ExpandedMultiQudit => 6.0 * model.gate_time_2q,
+        // A ≥3-qudit moment lasts its Di & Wei block: six two-qudit times.
+        let dt = if moment.max_arity() >= 3 {
+            6.0 * model.gate_time_2q
+        } else if moment.max_arity() >= 2 {
+            model.gate_time_2q
+        } else {
+            model.gate_time_1q
         };
         if let Some(idle) = model.idle_error(d, dt).unwrap() {
             let idle = idle.superoperator();

@@ -7,8 +7,9 @@
 //! a drift in the scheduler, the Di & Wei expansion or the constructions
 //! themselves fails this suite.
 
+use qudit_api::{Executor, JobSpec};
 use qudit_circuit::passes::{compile, PassLevel};
-use qudit_circuit::{KernelClass, ResourceReport};
+use qudit_circuit::{Circuit, Control, Gate, KernelClass, ResourceReport};
 use qutrit_toffoli::gen_toffoli::n_controlled_x;
 use qutrit_toffoli::incrementer::incrementer;
 
@@ -79,11 +80,10 @@ fn incrementer_8_resources_are_pinned() {
 
 #[test]
 fn lowered_n_controlled_x_15_reproduces_the_inferred_goldens() {
-    // The cutover pin: the *measured* resources of the physically lowered
-    // circuit must equal what `Moment::duration(true)` / the Di & Wei cost
-    // weights have always inferred — 85 two-qudit gates and physical depth
-    // 37 for nCX(15) (14 tree ops × 6 + the central gate; 6 tree moments
-    // × 6 layers + 1).
+    // The cutover pin: the lowered circuit itself has the counts the
+    // paper's Di & Wei accounting charges — 85 two-qudit gates and
+    // physical depth 37 for nCX(15) (14 tree ops × 6 + the central gate;
+    // 6 tree moments × 6 layers + 1).
     let circuit = n_controlled_x(15).unwrap();
     let ir = compile(&circuit, PassLevel::Physical);
     let lowered = ir.circuit();
@@ -92,38 +92,26 @@ fn lowered_n_controlled_x_15_reproduces_the_inferred_goldens() {
     assert_eq!(lowered.iter().filter(|op| op.arity() == 1).count(), 14 * 7);
     assert_eq!(ir.frames().unwrap().physical_depth(), 37);
 
-    // The measured report and the inferred report agree column for column.
-    let measured = ResourceReport::measure_physical(&circuit);
-    let inferred = ResourceReport::measure(&circuit);
-    assert_eq!(measured.two_qudit_gates(), inferred.two_qudit_gates());
-    assert_eq!(measured.depth(), inferred.depth());
-    assert_eq!(
-        measured.physical.one_qudit_gates,
-        inferred.physical.one_qudit_gates
-    );
+    let measured = ResourceReport::measure(&circuit);
+    assert_eq!(measured.two_qudit_gates(), 85);
+    assert_eq!(measured.depth(), 37);
+    assert_eq!(measured.physical.one_qudit_gates, 14 * 7);
     assert_eq!(measured.total_ops(), 15, "logical op count is unchanged");
 }
 
 #[test]
 fn lowered_incrementer_8_reproduces_the_inferred_goldens() {
     // incrementer(8): 46 physical two-qudit gates, physical depth 39 —
-    // measured on the lowered circuit, equal to the inferred values.
+    // counted on the lowered circuit.
     let circuit = incrementer(8).unwrap();
     let ir = compile(&circuit, PassLevel::Physical);
     assert_eq!(ir.circuit().iter().filter(|op| op.arity() == 2).count(), 46);
     assert_eq!(ir.frames().unwrap().physical_depth(), 39);
 
-    let measured = ResourceReport::measure_physical(&circuit);
+    let measured = ResourceReport::measure(&circuit);
     assert_eq!(measured.two_qudit_gates(), 46);
     assert_eq!(measured.depth(), 39);
     assert_eq!(measured.total_ops(), 28);
-    let inferred = ResourceReport::measure(&circuit);
-    assert_eq!(measured.two_qudit_gates(), inferred.two_qudit_gates());
-    assert_eq!(measured.depth(), inferred.depth());
-    assert_eq!(
-        measured.physical.one_qudit_gates,
-        inferred.physical.one_qudit_gates
-    );
 }
 
 #[test]
@@ -131,21 +119,28 @@ fn lowered_depth_column_matches_the_inferred_logarithmic_series() {
     // The Figure 9 depth column, measured on real lowered circuits.
     let depths: Vec<usize> = [7usize, 15, 31]
         .iter()
-        .map(|&n| ResourceReport::measure_physical(&n_controlled_x(n).unwrap()).depth())
+        .map(|&n| ResourceReport::measure(&n_controlled_x(n).unwrap()).depth())
         .collect();
     assert_eq!(depths, vec![25, 37, 49]);
 }
 
+/// Runs `circuit` noise-free through the executor at `level` and returns
+/// the served resource report.
+fn served_report(circuit: &Circuit, level: PassLevel) -> ResourceReport {
+    let spec = JobSpec::builder(circuit.clone())
+        .level(level)
+        .build()
+        .unwrap();
+    Executor::new().run(&spec).unwrap().resources
+}
+
 #[test]
-fn arity_four_inferred_and_measured_columns_diverge_as_documented() {
-    // Lowering at high arity: the flat Di & Wei weights charge every
-    // >=3-arity op as one three-qutrit expansion (6 two-qudit gates), but
-    // recursively lowering a 4-arity op (3 controls + a target) really
-    // emits 14 two-qudit gates. `measure` reports the flat inference and
-    // `measure_physical` the faithful physical numbers — both sides are
-    // pinned so neither silently drifts toward the other, and the routed
-    // column starts out absent on an unrouted report.
-    use qudit_circuit::{Circuit, Control, Gate};
+fn logical_and_physical_level_jobs_report_the_same_physical_column() {
+    // One accounting: a logical-level job's physical column is counted on
+    // the lowering of its compiled circuit, so it equals what a
+    // Physical-level job reports. A 3-controlled increment (arity 4)
+    // lowers recursively to 2 arity-3 commutator factors × 6 + 2 direct
+    // two-qudit ops = 14 two-qudit gates.
     let mut circuit = Circuit::new(3, 4);
     circuit
         .push_controlled(
@@ -155,21 +150,67 @@ fn arity_four_inferred_and_measured_columns_diverge_as_documented() {
         )
         .unwrap();
 
-    let inferred = ResourceReport::measure(&circuit);
-    assert_eq!(
-        inferred.two_qudit_gates(),
-        6,
-        "flat model: one 6-gate expansion"
-    );
+    let measured = ResourceReport::measure(&circuit);
+    assert_eq!(measured.two_qudit_gates(), 14);
+    assert!(measured.routed.is_none());
+    let ideal = served_report(&circuit, PassLevel::Ideal);
+    let physical = served_report(&circuit, PassLevel::Physical);
+    assert_eq!(ideal.physical, physical.physical);
+    assert_eq!(ideal.physical, measured.physical);
+    assert_eq!(ideal.two_qudit_gates(), 14);
+    assert_eq!(ideal.physical.three_plus_qudit_ops, 0);
+}
 
-    let measured = ResourceReport::measure_physical(&circuit);
-    assert_eq!(
-        measured.two_qudit_gates(),
-        14,
-        "recursion: 2 arity-3 commutator factors x 6 + 2 direct two-qudit ops"
-    );
-    assert!(measured.two_qudit_gates() > inferred.two_qudit_gates());
-    assert!(measured.routed.is_none() && inferred.routed.is_none());
+#[test]
+fn an_unlowerable_operation_is_counted_once_at_every_level() {
+    // A controlled SWAP has two targets, so it cannot be lowered: it stays
+    // in the lowered list as one arity-3 op, beside an X on a free qudit.
+    let mut circuit = Circuit::new(3, 4);
+    circuit
+        .push_controlled(Gate::swap(3), &[Control::on_one(0)], &[1, 2])
+        .unwrap();
+    circuit.push_gate(Gate::x(3), &[3]).unwrap();
+    for level in [PassLevel::Ideal, PassLevel::Physical] {
+        let physical = served_report(&circuit, level).physical;
+        assert_eq!(physical.one_qudit_gates, 1, "{level:?}");
+        assert_eq!(physical.two_qudit_gates, 1, "{level:?}");
+        assert_eq!(physical.three_plus_qudit_ops, 1, "{level:?}");
+        assert_eq!(physical.physical_depth, 1, "{level:?}");
+    }
+}
+
+#[test]
+fn measured_physical_column_is_the_physical_compile() {
+    // `measure` counts the lowering without building its gates; it must
+    // agree with the Physical-level compile on every field, including a
+    // lowerable block beside an unlowerable controlled SWAP (the pass
+    // keeps the first round's frames: depth 6, not the lowered ASAP).
+    let mut mixed = Circuit::new(3, 6);
+    mixed
+        .push_controlled(
+            Gate::increment(3),
+            &[Control::on_one(0), Control::on_two(1)],
+            &[2],
+        )
+        .unwrap();
+    mixed
+        .push_controlled(Gate::swap(3), &[Control::on_one(3)], &[4, 5])
+        .unwrap();
+    let physical = compile(&mixed, PassLevel::Physical).report().post.physical;
+    assert_eq!(physical.physical_depth, 6);
+    assert_eq!(physical.three_plus_qudit_ops, 1);
+    for circuit in [
+        mixed,
+        n_controlled_x(9).unwrap(),
+        incrementer(6).unwrap(),
+        qutrit_toffoli::grover::grover_circuit(3, 2, 2).unwrap(),
+    ] {
+        let lowered = compile(&circuit, PassLevel::Physical)
+            .report()
+            .post
+            .physical;
+        assert_eq!(ResourceReport::measure(&circuit).physical, lowered);
+    }
 }
 
 #[test]
